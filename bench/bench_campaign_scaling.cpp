@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
         const auto shop_t0 = std::chrono::steady_clock::now();
         std::size_t shop_killed = 0;
         for (const auto& item : shop->items()) {
-            if (shop->evaluate(item.mutant_id).fate ==
+            if (shop->evaluate(item.index, item.mutant_id).fate ==
                 mutation::MutantFate::Killed) {
                 ++shop_killed;
             }

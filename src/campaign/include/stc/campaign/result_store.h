@@ -71,9 +71,13 @@ struct StorePeek {
                                                   std::string* error);
 
 /// Rewrite `path` from scratch: header for `fingerprint`, then
-/// `records` in order.  Used by `stc::kill` to publish raised fates;
-/// byte-deterministic for identical inputs.  Throws stc::Error when the
-/// file cannot be written.
+/// `records` in order.  Crash-safe: the content goes to `PATH.tmp`,
+/// which is fsynced and renamed over `path` (then the directory is
+/// fsynced), so a kill at any instant leaves either the old store or
+/// the new one.  Used by `stc::kill` to publish raised fates and by
+/// ResultStore to drop a torn tail; byte-deterministic for identical
+/// inputs.  Throws stc::Error when the file cannot be
+/// written.
 void rewrite_store(const std::string& path, const std::string& fingerprint,
                    const std::vector<ItemRecord>& records);
 
@@ -108,8 +112,6 @@ public:
     void append(const ItemRecord& record);
 
 private:
-    void start_fresh(const std::string& path);
-
     std::string fingerprint_;
     std::map<std::string, ItemRecord> records_;
     std::size_t loaded_ = 0;

@@ -101,14 +101,6 @@ struct CampaignOptions {
     bool prune = true;
 };
 
-/// One (mutant x suite) work item.
-struct CampaignItem {
-    std::size_t index = 0;                    ///< position in the mutant list
-    const mutation::Mutant* mutant = nullptr;
-    std::uint64_t item_seed = 0;  ///< derive_item_seed(campaign, mutant, suite)
-    std::string key;              ///< content key in the result store
-};
-
 struct CampaignStats {
     std::size_t items = 0;
     std::size_t executed = 0;  ///< evaluated in this run
@@ -139,18 +131,18 @@ public:
     explicit CampaignScheduler(const reflect::Registry& bindings,
                                CampaignOptions options = {});
 
-    /// Run the campaign: golden baselines are captured once (serially),
-    /// then the items execute across the pool.  Equivalent to
+    /// Run the campaign: a Session (session.h) captures the golden
+    /// baselines once, serially, then the items execute across the
+    /// work-stealing pool — or the sandbox pool under `isolate` — and
+    /// finish through the session's Ledger.  Equivalent to
     /// MutationEngine::run on the same inputs, fate-for-fate.
     [[nodiscard]] CampaignResult run(
         const driver::TestSuite& suite,
         const std::vector<mutation::Mutant>& mutants,
         const driver::TestSuite* probe_suite = nullptr) const;
 
-    /// The campaign identity: a stable hash of the campaign seed, the
-    /// suite (class, seed, case ids), the mutant population, and the
-    /// oracle/runner configuration.  Items of equal fingerprint are
-    /// interchangeable across process restarts — the resume contract.
+    /// The campaign identity of these inputs (campaign_fingerprint in
+    /// session.h).
     [[nodiscard]] std::string fingerprint(
         const driver::TestSuite& suite,
         const std::vector<mutation::Mutant>& mutants,

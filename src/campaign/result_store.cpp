@@ -1,5 +1,9 @@
 #include "stc/campaign/result_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <iterator>
 #include <string_view>
 #include <utility>
@@ -52,6 +56,16 @@ std::optional<ItemRecord> ItemRecord::from_json(const JsonObject& o) {
     r.synthesized = o.get_bool("synthesized").value_or(false);
     return r;
 }
+
+namespace {
+
+std::string header_line(const std::string& fingerprint) {
+    JsonObject header;
+    header.set("event", "store-header").set("campaign", fingerprint);
+    return header.to_line() + '\n';
+}
+
+}  // namespace
 
 const ItemRecord* StorePeek::find(const std::string& key) const {
     for (const ItemRecord& r : records) {
@@ -112,97 +126,65 @@ std::optional<StorePeek> peek_store(const std::string& path,
 
 void rewrite_store(const std::string& path, const std::string& fingerprint,
                    const std::vector<ItemRecord>& records) {
-    std::ofstream out(path, std::ios::trunc);
-    JsonObject header;
-    header.set("event", "store-header").set("campaign", fingerprint);
-    out << header.to_line() << '\n';
+    std::string content = header_line(fingerprint);
     for (const ItemRecord& record : records) {
-        out << record.to_json().to_line() << '\n';
+        content += record.to_json().to_line();
+        content += '\n';
     }
-    out.flush();
-    if (!out) throw Error("cannot rewrite result store: " + path);
+
+    // Write-temp + fsync + rename + fsync(dir): a kill at any instant
+    // leaves either the old file or the complete new one at `path`,
+    // never a truncated mix.
+    const std::string tmp = path + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) throw Error("cannot rewrite result store: " + path);
+    std::size_t written = 0;
+    while (written < content.size()) {
+        const ssize_t n = ::write(fd, content.data() + written, content.size() - written);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        written += static_cast<std::size_t>(n);
+    }
+    const bool synced = written == content.size() && ::fsync(fd) == 0;
+    ::close(fd);
+    if (!synced || ::rename(tmp.c_str(), path.c_str()) != 0) {
+        ::unlink(tmp.c_str());
+        throw Error("cannot rewrite result store: " + path);
+    }
+    const std::size_t slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dir_fd >= 0) {
+        ::fsync(dir_fd);  // persist the rename itself
+        ::close(dir_fd);
+    }
 }
 
 ResultStore::ResultStore(const std::string& path, const std::string& fingerprint)
     : fingerprint_(fingerprint) {
-    bool resumable = false;
-    bool needs_rewrite = false;
-    std::vector<ItemRecord> recovered;  // load order, for faithful rewrite
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            const std::string content{std::istreambuf_iterator<char>(in),
-                                      std::istreambuf_iterator<char>()};
-            const bool terminated = !content.empty() && content.back() == '\n';
-            std::size_t pos = 0;
-            bool header_line = true;
-            while (pos < content.size()) {
-                const std::size_t nl = content.find('\n', pos);
-                const bool last = nl == std::string::npos;
-                const std::string_view line(
-                    content.data() + pos, (last ? content.size() : nl) - pos);
-                pos = last ? content.size() : nl + 1;
-                // A final line with no newline is a write that the
-                // previous process died inside: the record (if it even
-                // parses) may be incomplete, so the tail must be cut
-                // and the file rewritten before this run appends.
-                const bool torn = last && !terminated;
-                if (header_line) {
-                    header_line = false;
-                    const auto header = JsonObject::parse(line);
-                    resumable = header &&
-                                header->get_string("event") == "store-header" &&
-                                header->get_string("campaign") == fingerprint_;
-                    if (!resumable) break;
-                    if (torn) needs_rewrite = true;
-                    continue;
-                }
-                const auto parsed = JsonObject::parse(line);
-                auto record =
-                    parsed ? ItemRecord::from_json(*parsed) : std::nullopt;
-                if (!record || torn) {
-                    ++dropped_;
-                    needs_rewrite = true;
-                    continue;
-                }
-                recovered.push_back(std::move(*record));
-            }
-        }
-    }
-
-    if (resumable) {
-        for (const ItemRecord& record : recovered) {
+    // A store of this campaign resumes.  A torn tail (the final line cut
+    // short by the interruption that makes resume necessary) or a
+    // malformed line is dropped and the file rewritten from the
+    // surviving records before appending resumes, so the partial line
+    // can never fuse with the next record.  Anything else — missing,
+    // not a store, another campaign's — holds nothing of this campaign
+    // and is simply truncated: no rewrite, so no fsync on the common
+    // fresh-start path.
+    const std::optional<StorePeek> peek = peek_store(path, nullptr);
+    if (peek && peek->fingerprint == fingerprint_) {
+        for (const ItemRecord& record : peek->records) {
             records_.insert_or_assign(record.key, record);
         }
         loaded_ = records_.size();
-        if (needs_rewrite) {
-            std::ofstream rewrite(path, std::ios::trunc);
-            JsonObject header;
-            header.set("event", "store-header").set("campaign", fingerprint_);
-            rewrite << header.to_line() << '\n';
-            for (const ItemRecord& record : recovered) {
-                rewrite << record.to_json().to_line() << '\n';
-            }
-            rewrite.flush();
-            if (!rewrite) throw Error("cannot rewrite result store: " + path);
-        }
+        dropped_ = peek->dropped;
+        if (dropped_ > 0) rewrite_store(path, fingerprint_, peek->records);
         out_.open(path, std::ios::app);
     } else {
-        start_fresh(path);
+        out_.open(path, std::ios::trunc);
+        out_ << header_line(fingerprint_);
+        out_.flush();
     }
     if (!out_) throw Error("cannot open result store: " + path);
-}
-
-void ResultStore::start_fresh(const std::string& path) {
-    records_.clear();
-    loaded_ = 0;
-    dropped_ = 0;
-    out_.open(path, std::ios::trunc);
-    if (!out_) return;  // constructor reports the failure
-    JsonObject header;
-    header.set("event", "store-header").set("campaign", fingerprint_);
-    out_ << header.to_line() << '\n';
-    out_.flush();
 }
 
 const ItemRecord* ResultStore::find(const std::string& key) const {

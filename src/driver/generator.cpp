@@ -1,5 +1,8 @@
 #include "stc/driver/generator.h"
 
+#include <memory>
+#include <mutex>
+
 #include "stc/support/error.h"
 
 namespace stc::driver {
@@ -22,7 +25,15 @@ const MethodCall& TestCase::constructor_call() const {
 }
 
 void CompletionRegistry::provide(const std::string& class_name, Completion completion) {
-    completions_[class_name] = std::move(completion);
+    // Completions append to arenas (element, ledger, provider pools)
+    // that are plain vectors; one mutex per completion, shared by every
+    // copy of this registry, serializes those appends.
+    completions_[class_name] = [completion = std::move(completion),
+                                mutex = std::make_shared<std::mutex>()](
+                                   support::Pcg32& rng) {
+        const std::lock_guard<std::mutex> lock(*mutex);
+        return completion(rng);
+    };
 }
 
 const CompletionRegistry::Completion* CompletionRegistry::find(

@@ -25,10 +25,21 @@ namespace stc::driver {
 
 /// The tester's manual completions for structured parameter types,
 /// keyed by pointee class name (t-spec Object/Pointer slots).
+///
+/// Thread-safety contract: a completion typically allocates from an
+/// arena the component's pointers refer to (mfc::ElementPool and the
+/// example pools append to an unguarded vector), and parallel code —
+/// `kill --jobs`, `campaign --shrink-corpus --jobs` — completes
+/// concurrently.  provide() therefore wraps each completion so calls to
+/// it are serialized, across every copy of the registry; completions
+/// themselves need no locking.  Code that calls an arena directly, not
+/// through a registry, gets no such guarantee.
 class CompletionRegistry {
 public:
     using Completion = domain::PointerDomain::Completion;
 
+    /// Register `completion` for `class_name`; the stored completion
+    /// serializes its calls (see the class comment).
     void provide(const std::string& class_name, Completion completion);
     [[nodiscard]] const Completion* find(const std::string& class_name) const;
 

@@ -14,10 +14,11 @@
 // --resume` and `concat stats` reflect the raised score.
 //
 // Determinism: per-mutant searches are independent and internally
-// sequential; --jobs only distributes mutants across threads, results
-// are slotted by survivor index, and telemetry is emitted post-hoc in
-// that order — so report, telemetry, corpus files, and the rewritten
-// store are byte-identical for any job count.
+// sequential; --jobs only distributes mutants across the threads of
+// campaign::WorkStealingPool, results are slotted by survivor index,
+// and telemetry is emitted post-hoc in that order — so report,
+// telemetry, corpus files, and the rewritten store are byte-identical
+// for any job count.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,8 @@ struct KillContext {
 struct KillOptions {
     std::uint64_t seed = 20010701;
     SearchOptions search;
-    /// Worker threads across survivors (1 = sequential; output is
+    /// Worker threads across survivors, on campaign::WorkStealingPool
+    /// (1 = sequential, 0 = hardware concurrency; output is
     /// byte-identical either way).
     std::size_t jobs = 1;
     /// Corpus directory for verified killers ("" = do not persist).

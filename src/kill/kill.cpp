@@ -1,13 +1,11 @@
 #include "stc/kill/kill.h"
 
-#include <algorithm>
-#include <atomic>
 #include <map>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "stc/campaign/seed.h"
+#include "stc/campaign/thread_pool.h"
 #include "stc/fuzz/corpus.h"
 #include "stc/fuzz/fuzzer.h"
 #include "stc/mutation/controller.h"
@@ -215,26 +213,14 @@ KillRun kill_survivors(const KillContext& context,
     };
 
     std::vector<KillItem> items(survivor_indices.size());
-    const std::size_t jobs =
-        std::max<std::size_t>(1, std::min(options.jobs, items.size()));
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < survivor_indices.size(); ++i) {
+    std::vector<campaign::WorkStealingPool::Task> tasks;
+    tasks.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        tasks.push_back([&, i](const campaign::WorkerContext&) {
             items[i] = process(survivor_indices[i]);
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w) {
-            workers.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1); i < items.size();
-                     i = next.fetch_add(1)) {
-                    items[i] = process(survivor_indices[i]);
-                }
-            });
-        }
-        for (std::thread& worker : workers) worker.join();
+        });
     }
+    campaign::WorkStealingPool(options.jobs).run(std::move(tasks));
 
     // Fold results back in survivor order: record updates and telemetry
     // are emitted here, post-hoc, so the stream never depends on which

@@ -4,11 +4,9 @@
 #include <map>
 #include <utility>
 
-#include "stc/campaign/scheduler.h"
 #include "stc/core/self_testable.h"
 #include "stc/mfc/component.h"
 #include "stc/model/model.h"
-#include "stc/mutation/coverage.h"
 #include "stc/sandbox/codec.h"
 #include "stc/support/error.h"
 #include "stc/tfm/coverage.h"
@@ -153,17 +151,7 @@ struct BuiltinCampaign::Impl {
     driver::TestSuite suite;
     std::optional<driver::TestSuite> probe;
     std::vector<mutation::Mutant> mutants;
-    mutation::EngineOptions engine;
-    std::optional<driver::TestRunner> runner;
-    std::optional<driver::TestRunner> probe_runner;
-    oracle::GoldenRecord golden;
-    oracle::GoldenRecord probe_golden;
-    bool baseline_clean = false;
-    std::string fingerprint;
-    std::vector<campaign::WorkItem> items;
-    const reflect::ClassBinding* binding = nullptr;
-    bool prune_engaged = false;
-    mutation::PrunePlan plan;
+    std::optional<campaign::Session> session;  // over the members above
 };
 
 BuiltinCampaign::BuiltinCampaign() : impl_(std::make_unique<Impl>()) {}
@@ -188,24 +176,19 @@ std::unique_ptr<BuiltinCampaign> BuiltinCampaign::open(
     std::unique_ptr<BuiltinCampaign> out(new BuiltinCampaign());
     Impl& s = *out->impl_;
     s.config = config;
-    s.engine.obs = obs;
-    s.engine.runner.obs = obs;
     s.holder = target->make_component();
     auto& component = *s.holder.component;
 
     s.suite = component.generate_tests(config.generator);
     if (config.probe) {
-        // Same amplification `concat campaign --probe` applies: a
-        // decorrelated seed and one extra case per transaction.
-        driver::GeneratorOptions probe_options = config.generator;
-        probe_options.seed = config.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            config.generator.cases_per_transaction + 1;
-        s.probe = component.generate_tests(probe_options);
+        s.probe = component.generate_tests(campaign::probe_generator(config.generator));
     }
-    s.mutants =
-        target->mutants();
+    s.mutants = target->mutants();
 
+    campaign::CampaignOptions options;
+    options.seed = config.generator.seed;
+    options.prune = config.prune;
+    options.obs = obs;
     if (config.model) {
         const driver::ModelBinding* binding =
             model::binding_for(s.suite.class_name);
@@ -215,66 +198,10 @@ std::unique_ptr<BuiltinCampaign> BuiltinCampaign::open(
             }
             return nullptr;
         }
-        s.engine.runner.model = binding;
+        options.engine.runner.model = binding;
     }
-
-    // Campaign identity, computed exactly as the in-process scheduler
-    // does — this is the value the handshake cross-checks.
-    campaign::CampaignOptions campaign_options;
-    campaign_options.seed = config.generator.seed;
-    campaign_options.engine = s.engine;
-    campaign_options.prune = config.prune;
-    const campaign::CampaignScheduler scheduler(component.registry(),
-                                                campaign_options);
-    s.fingerprint =
-        scheduler.fingerprint(s.suite, s.mutants, s.probe ? &*s.probe : nullptr);
-    s.items = campaign::build_work_list(config.generator.seed, s.fingerprint,
-                                        s.suite, s.mutants);
-
-    // Golden baselines, captured once per session (the scheduler's
-    // "golden-baseline" phase, replicated here because each end of a
-    // dispatch owns its own executors).
-    s.runner.emplace(component.registry(), s.engine.runner);
-    driver::RunnerOptions probe_opts = s.engine.runner;
-    probe_opts.observe_each_call = true;
-    s.probe_runner.emplace(component.registry(), probe_opts);
-    s.prune_engaged = config.prune && s.engine.manual_oracle == nullptr;
-    mutation::CoverageIndex coverage;
-    mutation::CoverageIndex probe_coverage;
-    if (s.prune_engaged) {
-        auto covered = mutation::run_with_coverage(component.registry(),
-                                                   s.engine.runner, s.suite);
-        s.golden = oracle::GoldenRecord::from(covered.result);
-        coverage = std::move(covered.index);
-    } else {
-        s.golden = oracle::GoldenRecord::from(s.runner->run(s.suite));
-    }
-    s.baseline_clean = s.golden.all_passed();
-    if (s.probe) {
-        if (s.prune_engaged) {
-            auto covered = mutation::run_with_coverage(component.registry(),
-                                                       probe_opts, *s.probe);
-            s.probe_golden = oracle::GoldenRecord::from(covered.result);
-            probe_coverage = std::move(covered.index);
-        } else {
-            s.probe_golden =
-                oracle::GoldenRecord::from(s.probe_runner->run(*s.probe));
-        }
-    }
-    s.binding = &component.registry().at(s.suite.class_name);
-    if (s.prune_engaged) {
-        // Same plan the in-process scheduler builds: memoization stands
-        // down under a lockstep model (resumed runs skip the model leg),
-        // coverage pruning stays on.
-        mutation::PrunePlanOptions plan_options;
-        plan_options.memoize = s.engine.runner.model == nullptr ||
-                               !s.engine.runner.model->valid() ||
-                               !s.engine.oracle.use_model;
-        s.plan = mutation::build_prune_plan(
-            *s.runner, *s.binding, s.suite, std::move(coverage),
-            s.probe ? &*s.probe_runner : nullptr, s.probe ? &*s.probe : nullptr,
-            std::move(probe_coverage), plan_options);
-    }
+    s.session.emplace(component.registry(), s.suite,
+                      s.probe ? &*s.probe : nullptr, s.mutants, options);
     return out;
 }
 
@@ -288,51 +215,61 @@ const std::vector<mutation::Mutant>& BuiltinCampaign::mutants() const noexcept {
     return impl_->mutants;
 }
 const std::string& BuiltinCampaign::fingerprint() const noexcept {
-    return impl_->fingerprint;
+    return impl_->session->fingerprint();
 }
 const std::vector<campaign::WorkItem>& BuiltinCampaign::items() const noexcept {
-    return impl_->items;
+    return impl_->session->items();
 }
 const oracle::GoldenRecord& BuiltinCampaign::golden() const noexcept {
-    return impl_->golden;
+    return impl_->session->golden();
 }
 bool BuiltinCampaign::baseline_clean() const noexcept {
-    return impl_->baseline_clean;
+    return impl_->session->baseline_clean();
 }
 bool BuiltinCampaign::pruned() const noexcept {
-    return impl_->prune_engaged;
+    return impl_->session->pruned();
 }
 
 mutation::MutantOutcome BuiltinCampaign::evaluate(
-    const std::string& mutant_id, mutation::PruneStats* stats) const {
-    const Impl& s = *impl_;
-    const mutation::Mutant* mutant = nullptr;
-    for (const auto& m : s.mutants) {
-        if (m.id() == mutant_id) {
-            mutant = &m;
-            break;
-        }
+    std::size_t index, const std::string& mutant_id,
+    mutation::PruneStats* stats) const {
+    const std::vector<campaign::WorkItem>& list = items();
+    if (index >= list.size() || list[index].mutant_id != mutant_id) {
+        throw Error("work item " + std::to_string(index) + " is not mutant '" +
+                    mutant_id + "' of component " + impl_->config.component);
     }
-    if (mutant == nullptr) {
-        throw Error("unknown mutant '" + mutant_id +
-                    "' for component " + s.config.component);
+    return impl_->session->evaluate(index, stats);
+}
+
+campaign::CampaignResult BuiltinCampaign::dispatch(
+    DispatchOptions options, const std::string& store_path,
+    DispatchStats* stats) const {
+    campaign::Ledger ledger(*impl_->session, campaign::ExecutorKind::Remote,
+                            store_path, options.telemetry);
+    const std::vector<campaign::WorkItem> pending =
+        ledger.start(options.workers.size());
+    DispatchStats run_stats;
+    run_stats.workers = options.workers.size();
+    if (!pending.empty()) {
+        Coordinator coordinator(std::move(options));
+        run_stats = coordinator.run(
+            pending, [&](const campaign::WorkItem& item,
+                         const obs::JsonObject& result) {
+                // The Result payload is the sandbox outcome codec plus
+                // item/wall_ms/worker — decode_outcome tolerates the
+                // extras.
+                const std::string line = result.to_line();
+                ledger.finish(item,
+                              sandbox::decode_outcome(line).value_or(
+                                  sandbox::outcome_from_termination(
+                                      "worker-exit:-3")),
+                              result.get_uint("worker").value_or(0),
+                              result.get_double("wall_ms").value_or(0.0),
+                              sandbox::decode_outcome_stats(line));
+            });
     }
-    if (s.prune_engaged) {
-        return mutation::evaluate_mutant_pruned(
-            *mutant, *s.runner, *s.binding, s.suite, s.golden,
-            s.probe ? &*s.probe_runner : nullptr,
-            s.probe ? &*s.probe : nullptr, s.probe_golden, s.plan, s.engine,
-            stats);
-    }
-    const mutation::MutationEngine::SuiteExecutor run_suite = [&s] {
-        return s.runner->run(s.suite);
-    };
-    mutation::MutationEngine::SuiteExecutor run_probe;
-    if (s.probe) {
-        run_probe = [&s] { return s.probe_runner->run(*s.probe); };
-    }
-    return mutation::evaluate_mutant(*mutant, run_suite, s.golden, run_probe,
-                                     s.probe_golden, s.engine);
+    if (stats != nullptr) *stats = run_stats;
+    return ledger.end(run_stats.workers_connected, 0, run_stats.wall_ms);
 }
 
 namespace {
@@ -356,7 +293,7 @@ public:
         const auto t0 = Clock::now();
         mutation::PruneStats stats;
         const mutation::MutantOutcome outcome =
-            campaign_->evaluate(*mutant_id, &stats);
+            campaign_->evaluate(*item, *mutant_id, &stats);
         const double wall = ms_since(t0);
         // Result payload = the sandbox outcome codec (the merge decodes
         // with sandbox::decode_outcome) plus the dispatch bookkeeping.

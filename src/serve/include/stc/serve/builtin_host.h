@@ -20,12 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "stc/campaign/work_list.h"
+#include "stc/campaign/session.h"
 #include "stc/core/self_testable.h"
 #include "stc/driver/generator.h"
-#include "stc/mutation/engine.h"
-#include "stc/mutation/prune.h"
 #include "stc/obs/json.h"
+#include "stc/serve/dispatch.h"
 #include "stc/serve/worker.h"
 
 namespace stc::serve {
@@ -91,9 +90,10 @@ struct BuiltinCampaignConfig {
 [[nodiscard]] std::optional<BuiltinCampaignConfig> parse_hello(
     const obs::JsonObject& hello, std::string* error);
 
-/// One fully reconstructed builtin campaign: component, suite, mutant
-/// population, golden baselines, fingerprint, work list.  Both sides
-/// of a dispatch open one of these from the same config.
+/// One fully reconstructed builtin campaign: the component, suite and
+/// mutant population, and the campaign::Session built over them
+/// (golden baselines, fingerprint, work list).  Both sides of a
+/// dispatch open one of these from the same config.
 class BuiltinCampaign {
 public:
     ~BuiltinCampaign();
@@ -119,16 +119,27 @@ public:
     /// True when the fast tier is engaged for this campaign.
     [[nodiscard]] bool pruned() const noexcept;
 
-    /// Evaluate one mutant against the suite (and probe suite, when
-    /// configured) — the same evaluate_mutant call the in-process
-    /// scheduler makes, so fates match it exactly.  Throws stc::Error
-    /// on an unknown mutant id.  With the fast tier engaged the pruned
-    /// evaluator runs instead (same fates, enforced by
-    /// tests/prune_test.cpp); `stats`, when given, accumulates its
+    /// Evaluate work item `index` — Session::evaluate, the call every
+    /// executor makes, so fates match the in-process scheduler exactly.
+    /// Throws stc::Error when the index is out of range or names a
+    /// different mutant than `mutant_id` (a Work frame from another
+    /// campaign).  `stats`, when given, accumulates the fast tier's
     /// executed/pruned/memoized pair counters.
     [[nodiscard]] mutation::MutantOutcome evaluate(
-        const std::string& mutant_id,
+        std::size_t index, const std::string& mutant_id,
         mutation::PruneStats* stats = nullptr) const;
+
+    /// Run this campaign on the daemons named in `options` — the
+    /// `concat dispatch` executor.  Items the result store at
+    /// `store_path` ("" = none) already finished are restored, not
+    /// shipped; every merged Result takes the shared completion path
+    /// (campaign::Ledger) into the store and `options.telemetry`.  A
+    /// fully resumed campaign contacts no daemon.  `stats`, when given,
+    /// receives the coordinator's numbers.  Throws like
+    /// Coordinator::run.
+    [[nodiscard]] campaign::CampaignResult dispatch(
+        DispatchOptions options, const std::string& store_path,
+        DispatchStats* stats = nullptr) const;
 
 private:
     BuiltinCampaign();

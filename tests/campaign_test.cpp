@@ -3,9 +3,12 @@
 // serial/parallel determinism, resumability without re-execution, and
 // well-formed telemetry.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -211,6 +214,65 @@ TEST(ResultStoreTornTail, TruncationAtEveryByteOffsetNeverFusesRecords) {
         ASSERT_NE(reopened.find("extra"), nullptr);
         EXPECT_EQ(reopened.find("extra")->fate, "alive");
     }
+}
+
+TEST(ResultStoreFile, RewriteSurvivesSigkillAtAnyInstant) {
+    // rewrite_store publishes a kill pass's raised fates and a torn-tail
+    // recovery's survivors over a finished store.  A forked child flips
+    // the file between two record sets until it is SIGKILLed at a
+    // staggered delay; whenever it died, the file must read as one
+    // complete set — never a truncated or interleaved mix.
+    const std::string path = "/tmp/stc_store_rewrite_" +
+                             std::to_string(getpid()) + ".jsonl";
+    const auto make_records = [](const std::string& tag, std::size_t n) {
+        std::vector<ItemRecord> records;
+        for (std::size_t i = 0; i < n; ++i) {
+            ItemRecord r;
+            r.key = tag + std::to_string(i);
+            r.mutant_id = "CObList::AddHead@s" + std::to_string(i);
+            r.item_index = i;
+            r.fate = tag == "a" ? "alive" : "killed";
+            r.reason = tag == "a" ? "alive" : "output-diff";
+            r.hit_by_suite = true;
+            r.item_seed = 7 * i;
+            records.push_back(r);
+        }
+        return records;
+    };
+    const auto lines = [](const std::vector<ItemRecord>& records) {
+        std::vector<std::string> out;
+        for (const ItemRecord& r : records) out.push_back(r.to_json().to_line());
+        return out;
+    };
+    const std::vector<ItemRecord> a = make_records("a", 40);
+    const std::vector<ItemRecord> b = make_records("b", 90);
+    rewrite_store(path, "fp-rewrite", a);
+
+    for (int round = 0; round < 24; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const pid_t child = fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            for (;;) {
+                rewrite_store(path, "fp-rewrite", b);
+                rewrite_store(path, "fp-rewrite", a);
+            }
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(173 * round));
+        ::kill(child, SIGKILL);
+        ::waitpid(child, nullptr, 0);
+
+        std::string error;
+        const auto peek = peek_store(path, &error);
+        ASSERT_TRUE(peek.has_value()) << error;
+        EXPECT_EQ(peek->fingerprint, "fp-rewrite");
+        EXPECT_EQ(peek->dropped, 0u);
+        const std::vector<std::string> seen = lines(peek->records);
+        EXPECT_TRUE(seen == lines(a) || seen == lines(b))
+            << seen.size() << " record(s)";
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
 }
 
 // ------------------------------------------------------------ thread pool

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "stc/core/self_testable.h"
 #include "stc/history/incremental.h"
 #include "stc/mfc/component.h"
@@ -48,6 +52,34 @@ TEST(ElementPool, OwnsComparableElements) {
     CObject* b = pool.make(5);
     EXPECT_EQ(pool.size(), 2u);
     EXPECT_LT(a->Compare(*b), 0);
+}
+
+TEST(ElementPool, RegistryCompletionsSerializeConcurrentCallers) {
+    // `kill --jobs` and `campaign --shrink-corpus --jobs` complete
+    // CObject parameters from several threads at once; the pool is a
+    // plain vector, so the registry must serialize the calls.
+    ElementPool pool;
+    const driver::CompletionRegistry registry = make_completions(pool);
+    const driver::CompletionRegistry copy = registry;  // shares the lock
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 400;
+    std::vector<std::vector<const void*>> made(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const auto& completion =
+                *(t % 2 == 0 ? registry : copy).find("CObject");
+            support::Pcg32 rng(static_cast<std::uint64_t>(t));
+            for (int i = 0; i < kCalls; ++i) {
+                made[t].push_back(completion(rng).as_pointer());
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(pool.size(), static_cast<std::size_t>(kThreads * kCalls));
+    std::set<const void*> distinct;
+    for (const auto& list : made) distinct.insert(list.begin(), list.end());
+    EXPECT_EQ(distinct.size(), pool.size());
 }
 
 TEST(ElementPool, CompletionDrawsFromRange) {

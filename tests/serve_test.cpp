@@ -5,9 +5,13 @@
 // and checks the merged fates against locally evaluated ones — the
 // determinism contract `concat dispatch` rests on.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -17,6 +21,8 @@
 #include <vector>
 
 #include "shop_targets.h"
+#include "stc/campaign/result_store.h"
+#include "stc/campaign/telemetry.h"
 #include "stc/campaign/work_list.h"
 #include "stc/mutation/engine.h"
 #include "stc/tfm/coverage.h"
@@ -400,8 +406,12 @@ TEST(ServeBuiltinHost, RegistryServesTheExampleAssemblyTarget) {
     EXPECT_TRUE(host->baseline_clean());
     EXPECT_EQ(host->suite().class_name, "Shop");
 
-    const auto outcome =
-        host->evaluate("Wallet::Deposit@s2.IndVarRepReq.NULL");
+    const std::string id = "Wallet::Deposit@s2.IndVarRepReq.NULL";
+    const auto item = std::find_if(
+        host->items().begin(), host->items().end(),
+        [&](const campaign::WorkItem& w) { return w.mutant_id == id; });
+    ASSERT_NE(item, host->items().end());
+    const auto outcome = host->evaluate(item->index, id);
     EXPECT_EQ(outcome.fate, mutation::MutantFate::Killed);
     EXPECT_EQ(outcome.reason, oracle::KillReason::IllegalQuiescence);
 }
@@ -432,9 +442,184 @@ TEST(ServeBuiltinHost, DispatchedFatesMatchLocalEvaluation) {
     EXPECT_EQ(stats.workers_connected, 2u);
     ASSERT_EQ(fates.size(), host->items().size());
     for (const campaign::WorkItem& item : host->items()) {
-        const mutation::MutantOutcome local = host->evaluate(item.mutant_id);
+        const mutation::MutantOutcome local =
+            host->evaluate(item.index, item.mutant_id);
         EXPECT_EQ(fates[item.index], mutation::to_string(local.fate))
             << item.mutant_id;
+    }
+}
+
+// ------------------------------------------------- executor contract
+
+/// Per event kind, the distinct key sets (sorted, space-joined) of a
+/// `--telemetry-out` stream.
+using KeyTable = std::map<std::string, std::set<std::string>>;
+
+std::string sorted_keys(std::vector<std::string> keys) {
+    std::sort(keys.begin(), keys.end());
+    std::string joined;
+    for (const std::string& key : keys) joined += (joined.empty() ? "" : " ") + key;
+    return joined;
+}
+
+KeyTable telemetry_keys(const std::string& path) {
+    KeyTable table;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+        const auto event = obs::JsonObject::parse(line);
+        if (!event) {
+            ADD_FAILURE() << "unparseable telemetry line: " << line;
+            continue;
+        }
+        std::vector<std::string> keys;
+        for (const auto& [key, value] : event->fields()) keys.push_back(key);
+        table[event->get_string("event").value_or("")].insert(sorted_keys(keys));
+    }
+    return table;
+}
+
+/// A store's records by key, wall_ms (the one scheduling fact a record
+/// carries) zeroed.
+std::map<std::string, std::string> store_records(const std::string& path) {
+    std::string error;
+    const auto peek = campaign::peek_store(path, &error);
+    EXPECT_TRUE(peek.has_value()) << error;
+    std::map<std::string, std::string> out;
+    if (!peek) return out;
+    EXPECT_EQ(peek->dropped, 0u);
+    for (campaign::ItemRecord record : peek->records) {
+        record.wall_ms = 0.0;
+        out[record.key] = record.to_json().to_line();
+    }
+    return out;
+}
+
+// The per-executor key table of docs/FORMATS.md §5, as `concat campaign
+// coblist --jobs 2 [--isolate]` and a 2-daemon `concat dispatch coblist`
+// write it with --resume and --telemetry-out.
+const std::string kStart =
+    "baseline_clean campaign cases class event jobs model mutants probe prune seed seq";
+const std::string kCoverage =
+    "campaign cases checkpoints digest event pairs probe_pairs seq version";
+const std::string kKillReason = "event kills reason seq";
+const std::string kFinishPruned =
+    "event executed_pairs fate hit item item_seed memoized_pairs model_only "
+    "mutant probe_kill pruned_pairs reason seq shrunk wall_ms worker";
+const std::string kFinishTotals =
+    "event fate hit item item_seed model_only mutant probe_kill reason seq "
+    "shrunk wall_ms worker";
+std::string campaign_end(const std::string& executor_key) {
+    return sorted_keys({"campaign", "equivalent", "event", "executed",
+                        "executed_pairs", "items", "killed", "killed_model_only",
+                        "memoized_calls", "memoized_pairs", "not_covered", "pruned",
+                        "pruned_pairs", "resumed", "score", "seq", "wall_ms",
+                        "workers", executor_key});
+}
+
+TEST(ServeExecutorContract, PoolSandboxAndDispatchAgreeOnStoreAndEventKeys) {
+    // One coblist campaign, three executors, each with a store and a
+    // telemetry stream — the shapes `concat campaign --jobs 2`,
+    // `--isolate` and `concat dispatch` write.  Stores must agree record
+    // for record; each stream must carry exactly its executor's keys.
+    const std::string dir = "/tmp/stc_executor_contract_" +
+                            std::to_string(::getpid()) + "_";
+    const auto path = [&](const std::string& name) { return dir + name; };
+    for (const char* name : {"pool", "sandbox", "dispatch"}) {
+        std::remove(path(std::string(name) + ".store").c_str());
+        std::remove(path(std::string(name) + ".jsonl").c_str());
+    }
+    BuiltinCampaignConfig config;
+    config.component = "coblist";
+
+    // Pool and sandbox first: the sandbox forks, which is best done
+    // before the daemon threads below exist.
+    const BuiltinTarget* target = find_builtin_target(config.component);
+    ASSERT_NE(target, nullptr);
+    const BuiltinComponent holder = target->make_component();
+    const driver::TestSuite suite =
+        holder.component->generate_tests(config.generator);
+    const std::vector<mutation::Mutant> mutants = target->mutants();
+    const auto run_local = [&](bool isolate, const std::string& name) {
+        campaign::CampaignOptions options;
+        options.jobs = 2;
+        options.seed = config.generator.seed;
+        options.isolate = isolate;
+        options.store_path = path(name + ".store");
+        options.telemetry_path = path(name + ".jsonl");
+        return campaign::CampaignScheduler(holder.component->registry(), options)
+            .run(suite, mutants);
+    };
+    const campaign::CampaignResult pool = run_local(false, "pool");
+    const campaign::CampaignResult sandbox = run_local(true, "sandbox");
+
+    std::string error;
+    const auto host = BuiltinCampaign::open(config, &error);
+    ASSERT_NE(host, nullptr) << error;
+    EXPECT_EQ(host->fingerprint(), pool.fingerprint);
+    campaign::TelemetrySink sink = campaign::TelemetrySink::to_file(path("dispatch.jsonl"));
+    DaemonHandle d1(builtin_session_factory());
+    DaemonHandle d2(builtin_session_factory());
+    DispatchOptions options;
+    options.workers = {d1.endpoint(), d2.endpoint()};
+    options.hello = make_hello(config, host->fingerprint());
+    options.expected_fingerprint = host->fingerprint();
+    options.stream_telemetry = true;
+    options.telemetry = [&sink](const obs::JsonObject& event) { sink.emit(event); };
+    DispatchStats stats;
+    const campaign::CampaignResult remote =
+        host->dispatch(std::move(options), path("dispatch.store"), &stats);
+    EXPECT_EQ(stats.executed, mutants.size());
+
+    for (const campaign::CampaignResult* result : {&pool, &sandbox, &remote}) {
+        EXPECT_EQ(result->stats.executed, mutants.size());
+        EXPECT_EQ(result->run.killed(), pool.run.killed());
+    }
+    const auto reference = store_records(path("pool.store"));
+    EXPECT_EQ(reference.size(), mutants.size());
+    EXPECT_EQ(store_records(path("sandbox.store")), reference);
+    EXPECT_EQ(store_records(path("dispatch.store")), reference);
+
+    const KeyTable pool_keys = {
+        {"campaign-start", {kStart}},
+        {"coverage-index", {kCoverage}},
+        {"item-start", {"event item mutant queue seq stolen worker"}},
+        {"item-finish", {kFinishPruned}},
+        {"kill-reason", {kKillReason}},
+        {"campaign-end", {campaign_end("steals")}},
+    };
+    const KeyTable sandbox_keys = {
+        {"campaign-start", {kStart}},
+        {"coverage-index", {kCoverage}},
+        {"worker-spawn", {"event pid seq worker"}},
+        {"item-start", {"event item mutant seq worker"}},
+        {"item-finish", {kFinishPruned}},  // + sandbox, when set
+        {"worker-exit", {"event pid seq worker"}},
+        {"kill-reason", {kKillReason}},
+        {"campaign-end", {campaign_end("respawns")}},
+    };
+    // Dispatch merges only prune totals (no coverage-index, no per-item
+    // counters; respawns is always 0), and the streamed worker events
+    // share the coordinator's sink.
+    const KeyTable dispatch_keys = {
+        {"campaign-start", {kStart}},
+        {"worker-connect", {"endpoint event fingerprint queued seq worker"}},
+        {"worker-session", {"class event fingerprint seq worker"}},
+        {"item-start", {"event item mutant seq worker"}},
+        {"item-finish",
+         {kFinishTotals,
+          "event executed_pairs fate hit item memoized_calls memoized_pairs "
+          "model_only mutant probe_kill pruned_pairs reason seq wall_ms worker"}},
+        {"worker-session-end", {"event items seq worker"}},
+        {"metrics-snapshot", {"event metrics seq worker"}},
+        {"kill-reason", {kKillReason}},
+        {"campaign-end", {campaign_end("respawns")}},
+    };
+    EXPECT_EQ(telemetry_keys(path("pool.jsonl")), pool_keys);
+    EXPECT_EQ(telemetry_keys(path("sandbox.jsonl")), sandbox_keys);
+    EXPECT_EQ(telemetry_keys(path("dispatch.jsonl")), dispatch_keys);
+    for (const char* name : {"pool", "sandbox", "dispatch"}) {
+        std::remove(path(std::string(name) + ".store").c_str());
+        std::remove(path(std::string(name) + ".jsonl").c_str());
     }
 }
 

@@ -40,8 +40,8 @@
 #include "shop_component.h"
 #include "shop_targets.h"
 #include "stc/assembly/product.h"
-#include "stc/campaign/scheduler.h"
 #include "stc/campaign/seed.h"
+#include "stc/campaign/session.h"
 #include "stc/campaign/telemetry.h"
 #include "stc/codegen/driver_codegen.h"
 #include "stc/core/self_testable.h"
@@ -892,11 +892,7 @@ int cmd_campaign(const Options& options) {
 
     std::optional<driver::TestSuite> probe;
     if (options.probe) {
-        driver::GeneratorOptions probe_options = options.generator;
-        probe_options.seed = options.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            options.generator.cases_per_transaction + 1;
-        probe = component.generate_tests(probe_options);
+        probe = component.generate_tests(campaign::probe_generator(options.generator));
     }
 
     const auto mutants = target->mutants();
@@ -1016,11 +1012,7 @@ int cmd_kill(const Options& options) {
     const driver::TestSuite suite = component.generate_tests(options.generator);
     std::optional<driver::TestSuite> probe;
     if (options.probe) {
-        driver::GeneratorOptions probe_options = options.generator;
-        probe_options.seed = options.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            options.generator.cases_per_transaction + 1;
-        probe = component.generate_tests(probe_options);
+        probe = component.generate_tests(campaign::probe_generator(options.generator));
     }
     const auto mutants = target->mutants();
 
@@ -1034,10 +1026,8 @@ int cmd_kill(const Options& options) {
         model_binding = *resolved;
         campaign_options.engine.runner.model = model_binding;
     }
-    const campaign::CampaignScheduler scheduler(component.registry(),
-                                                campaign_options);
-    const std::string fingerprint =
-        scheduler.fingerprint(suite, mutants, probe ? &*probe : nullptr);
+    const std::string fingerprint = campaign::campaign_fingerprint(
+        campaign_options, suite, mutants, probe ? &*probe : nullptr);
 
     std::string store_error;
     auto peek = campaign::peek_store(*options.store_path, &store_error);
@@ -1071,8 +1061,7 @@ int cmd_kill(const Options& options) {
 
     kill::KillOptions kill_options;
     kill_options.seed = options.generator.seed;
-    kill_options.jobs =
-        options.jobs == 0 ? std::thread::hardware_concurrency() : options.jobs;
+    kill_options.jobs = options.jobs;
     if (options.corpus_dir) kill_options.corpus_dir = *options.corpus_dir;
     kill_options.max_shrink_steps = options.max_shrink_steps;
     kill_options.obs = options.obs;
@@ -1640,12 +1629,9 @@ int cmd_dispatch(const Options& options) {
         std::cerr << "concat dispatch: " << error << "\n";
         return 2;
     }
-    const driver::TestSuite& suite = host->suite();
-    const std::vector<mutation::Mutant>& mutants = host->mutants();
     const std::string& fingerprint = host->fingerprint();
-
-    const std::vector<serve::Endpoint> endpoints =
-        serve::parse_endpoints(*options.workers);
+    serve::DispatchOptions dispatch_options;
+    dispatch_options.workers = serve::parse_endpoints(*options.workers);
 
     std::optional<campaign::TelemetrySink> sink;
     if (options.telemetry_path) {
@@ -1679,51 +1665,6 @@ int cmd_dispatch(const Options& options) {
         render_progress();
     };
 
-    emit_event(obs::JsonObject()
-                   .set("event", "campaign-start")
-                   .set("campaign", fingerprint)
-                   .set("class", suite.class_name)
-                   .set("seed", options.generator.seed)
-                   .set("jobs", static_cast<std::uint64_t>(endpoints.size()))
-                   .set("mutants", static_cast<std::uint64_t>(mutants.size()))
-                   .set("cases", static_cast<std::uint64_t>(suite.cases.size()))
-                   .set("probe", options.probe)
-                   .set("model", options.model)
-                   .set("prune", host->pruned())
-                   .set("baseline_clean", host->baseline_clean()));
-
-    // Resume pass, same contract as the in-process scheduler: restore
-    // finished items from the store, ship only the rest.
-    std::optional<campaign::ResultStore> store;
-    if (options.store_path) store.emplace(*options.store_path, fingerprint);
-
-    std::vector<mutation::MutantOutcome> outcomes(mutants.size());
-    std::vector<campaign::WorkItem> pending;
-    std::size_t resumed = 0;
-    for (const campaign::WorkItem& item : host->items()) {
-        outcomes[item.index].mutant = &mutants[item.index];
-        const campaign::ItemRecord* record =
-            store ? store->find(item.key) : nullptr;
-        mutation::MutantOutcome outcome;
-        if (record == nullptr ||
-            !campaign::restore_outcome(*record, &outcome)) {
-            pending.push_back(item);
-            continue;
-        }
-        outcome.mutant = &mutants[item.index];
-        outcomes[item.index] = outcome;
-        ++resumed;
-        emit_event(obs::JsonObject()
-                       .set("event", "item-resumed")
-                       .set("item", static_cast<std::uint64_t>(item.index))
-                       .set("mutant", item.mutant_id)
-                       .set("fate", record->fate)
-                       .set("reason", record->reason)
-                       .set("model_only", record->model_only));
-    }
-
-    serve::DispatchOptions dispatch_options;
-    dispatch_options.workers = endpoints;
     dispatch_options.hello = serve::make_hello(config, fingerprint);
     dispatch_options.expected_fingerprint = fingerprint;
     dispatch_options.keepalive_ms = static_cast<int>(options.keepalive_ms);
@@ -1741,117 +1682,31 @@ int cmd_dispatch(const Options& options) {
         dispatch_options.telemetry = emit_event;
     }
 
-    mutation::PruneStats prune_totals;
-    auto merge_result = [&](const campaign::WorkItem& item,
-                            const obs::JsonObject& result) {
-        // The Result payload is the sandbox outcome codec plus
-        // item/wall_ms/worker — decode_outcome tolerates the extras.
-        mutation::MutantOutcome outcome =
-            sandbox::decode_outcome(result.to_line())
-                .value_or(
-                    sandbox::outcome_from_termination("worker-exit:-3"));
-        outcome.mutant = &mutants[item.index];
-        const double wall_ms = result.get_double("wall_ms").value_or(0.0);
-        outcomes[item.index] = outcome;
-        prune_totals += sandbox::decode_outcome_stats(result.to_line());
-        obs::JsonObject finish;
-        finish.set("event", "item-finish")
-            .set("item", static_cast<std::uint64_t>(item.index))
-            .set("mutant", item.mutant_id)
-            .set("worker", result.get_uint("worker").value_or(0))
-            .set("fate", mutation::to_string(outcome.fate))
-            .set("reason", oracle::to_string(outcome.reason))
-            .set("hit", outcome.hit_by_suite)
-            .set("probe_kill", outcome.killed_by_probe)
-            .set("model_only", outcome.model_only)
-            .set("shrunk", false)
-            .set("item_seed", item.item_seed)
-            .set("wall_ms", wall_ms);
-        if (!outcome.sandbox.empty()) {
-            finish.set("sandbox", outcome.sandbox);
-        }
-        emit_event(finish);
-        if (store) {
-            campaign::ItemRecord record;
-            record.key = item.key;
-            record.mutant_id = item.mutant_id;
-            record.item_index = item.index;
-            record.fate = mutation::to_string(outcome.fate);
-            record.reason = oracle::to_string(outcome.reason);
-            record.hit_by_suite = outcome.hit_by_suite;
-            record.killed_by_probe = outcome.killed_by_probe;
-            record.model_only = outcome.model_only;
-            record.item_seed = item.item_seed;
-            record.wall_ms = wall_ms;
-            record.sandbox = outcome.sandbox;
-            store->append(record);
-        }
-    };
-
-    // A fully-resumed dispatch has nothing to ship: don't require a
-    // reachable worker just to execute zero items.
     serve::DispatchStats stats;
-    stats.workers = endpoints.size();
-    if (!pending.empty()) {
-        serve::Coordinator coordinator(std::move(dispatch_options));
-        stats = coordinator.run(pending, merge_result);
-    }
-
-    mutation::MutationRun run;
-    run.outcomes = std::move(outcomes);
-    run.golden = host->golden();
-    run.baseline_clean = host->baseline_clean();
-
-    for (const oracle::KillReason reason : oracle::kAllKillReasons) {
-        if (reason == oracle::KillReason::None) continue;
-        emit_event(obs::JsonObject()
-                       .set("event", "kill-reason")
-                       .set("reason", oracle::to_string(reason))
-                       .set("kills", static_cast<std::uint64_t>(
-                                         run.kills_by(reason))));
-    }
-    emit_event(
-        obs::JsonObject()
-            .set("event", "campaign-end")
-            .set("campaign", fingerprint)
-            .set("items", static_cast<std::uint64_t>(host->items().size()))
-            .set("executed", static_cast<std::uint64_t>(stats.executed))
-            .set("resumed", static_cast<std::uint64_t>(resumed))
-            .set("killed", static_cast<std::uint64_t>(run.killed()))
-            .set("killed_model_only",
-                 static_cast<std::uint64_t>(run.kills_model_only()))
-            .set("equivalent", static_cast<std::uint64_t>(run.equivalent()))
-            .set("not_covered", static_cast<std::uint64_t>(run.not_covered()))
-            .set("score", run.score())
-            .set("workers",
-                 static_cast<std::uint64_t>(stats.workers_connected))
-            .set("respawns", std::uint64_t{0})
-            .set("pruned", host->pruned())
-            .set("executed_pairs", prune_totals.executed_pairs)
-            .set("pruned_pairs", prune_totals.pruned_pairs)
-            .set("memoized_pairs", prune_totals.memoized_pairs)
-            .set("memoized_calls", prune_totals.memoized_calls)
-            .set("wall_ms", stats.wall_ms));
+    const campaign::CampaignResult result = host->dispatch(
+        std::move(dispatch_options), options.store_path.value_or(""), &stats);
     if (options.progress) render_progress();  // the closing snapshot
 
+    const driver::TestSuite& suite = host->suite();
     std::ostringstream report;
-    mutation::render_campaign_report(report, run, suite.class_name,
+    mutation::render_campaign_report(report, result.run, suite.class_name,
                                      suite.size(), options.generator.seed);
 
     // Scheduling-dependent numbers stay on stderr, exactly like
     // `concat campaign`, so the report byte-matches the local run.
     std::cerr << "dispatch stats: campaign=" << fingerprint
               << " workers=" << stats.workers_connected << "/" << stats.workers
-              << " executed=" << stats.executed << " resumed=" << resumed
+              << " executed=" << stats.executed
+              << " resumed=" << result.stats.resumed
               << " redispatched=" << stats.redispatched
               << " disconnects=" << stats.disconnects
               << " wall_ms=" << stats.wall_ms << "\n";
-    if (host->pruned()) {
+    if (result.stats.pruned) {
         std::cerr << "prune stats: executed_pairs="
-                  << prune_totals.executed_pairs
-                  << " pruned_pairs=" << prune_totals.pruned_pairs
-                  << " memoized_pairs=" << prune_totals.memoized_pairs
-                  << " memoized_calls=" << prune_totals.memoized_calls << "\n";
+                  << result.stats.executed_pairs
+                  << " pruned_pairs=" << result.stats.pruned_pairs
+                  << " memoized_pairs=" << result.stats.memoized_pairs
+                  << " memoized_calls=" << result.stats.memoized_calls << "\n";
     }
 
     return emit(options, report.str());
