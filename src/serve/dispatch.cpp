@@ -9,6 +9,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -27,7 +28,11 @@ double ms_since(Clock::time_point start) {
         .count();
 }
 
-constexpr std::ptrdiff_t kNoItem = -1;
+/// One sent, unanswered Work frame.
+struct Outstanding {
+    std::size_t pos;        ///< position in the caller's `items`
+    std::uint64_t sent_us;  ///< trace-clock send time
+};
 
 struct WorkerState {
     enum class Phase { Handshaking, Ready, Dead };
@@ -36,20 +41,24 @@ struct WorkerState {
     Fd fd;
     wire::Decoder decoder;
     Phase phase = Phase::Dead;
-    /// Assigned positions in the caller's `items` vector.  Positions,
-    /// not WorkItem::index: under `--resume` the caller ships only the
-    /// pending subset, so items[pos].index need not equal pos.  The
-    /// item's global index travels on the wire and in telemetry.
+    /// Unsent positions in the caller's `items` vector: this worker's
+    /// shard, and once it is dead also its unanswered window.
+    /// Positions, not WorkItem::index: under `--resume` the caller
+    /// ships only the pending subset, so items[pos].index need not
+    /// equal pos.  The item's global index travels on the wire and in
+    /// telemetry.
     std::deque<std::size_t> queue;
-    std::ptrdiff_t in_flight = kNoItem;  ///< position of the item sent, or -1
+    /// Sent, unanswered Work frames, oldest first: the worker answers
+    /// them in arrival order, so the front is the next Result.
+    std::deque<Outstanding> window;
     Clock::time_point last_heard;
     bool ping_outstanding = false;
     /// Protocol minor rev the worker announced in HelloAck (1 when it
     /// predates the field) — gates the end-of-session telemetry drain.
     std::uint64_t proto_minor = 1;
-    /// Trace-clock time the in-flight Work was sent (the synthetic
-    /// item-dispatch span's start).
-    std::uint64_t sent_us = 0;
+    /// Trace-clock time the coordinator finished merging this worker's
+    /// last Result (where its next item-dispatch span may start).
+    std::uint64_t merged_us = 0;
 };
 
 }  // namespace
@@ -141,9 +150,7 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     };
 
     std::vector<WorkerState> workers(options_.workers.size());
-    std::vector<bool> completed(items.size(), false);
     std::size_t remaining = items.size();
-    std::size_t redispatch_cursor = 0;
     std::uint64_t ping_nonce = 0;
 
     auto live_count = [&] {
@@ -154,66 +161,41 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         return n;
     };
 
-    // Declare worker `w` dead and move its unfinished items to the
-    // survivors, round-robin.  The items list and partition are
-    // deterministic; only this fault path depends on runtime behavior,
-    // and item results are schedule-independent, so the merged fates
-    // are unchanged by who re-executes what.
+    // Declare worker `w` dead.  Its unanswered window goes back to the
+    // front of its queue, and the survivors take that queue under the
+    // same rule as any other (`take`).  Item results are
+    // schedule-independent, so who re-executes what cannot change the
+    // merged fates.
     auto fail_worker = [&](std::size_t w, const std::string& reason) {
         WorkerState& state = workers[w];
         if (state.phase == WorkerState::Phase::Dead) return;
         state.phase = WorkerState::Phase::Dead;
         state.fd.close();
         ++stats.disconnects;
-        std::deque<std::size_t> unfinished = std::move(state.queue);
-        state.queue.clear();
-        if (state.in_flight != kNoItem &&
-            !completed[static_cast<std::size_t>(state.in_flight)]) {
-            unfinished.push_front(static_cast<std::size_t>(state.in_flight));
+        while (!state.window.empty()) {
+            state.queue.push_front(state.window.back().pos);
+            state.window.pop_back();
         }
-        state.in_flight = kNoItem;
         emit(obs::JsonObject()
                  .set("event", "worker-disconnect")
                  .set("worker", static_cast<std::uint64_t>(w))
                  .set("endpoint", state.endpoint.spec)
                  .set("reason", reason)
                  .set("unfinished",
-                      static_cast<std::uint64_t>(unfinished.size())));
-        if (unfinished.empty() || live_count() == 0) return;
-        for (const std::size_t pos : unfinished) {
-            std::size_t target = redispatch_cursor;
-            do {
-                target = (target + 1) % workers.size();
-            } while (workers[target].phase == WorkerState::Phase::Dead);
-            redispatch_cursor = target;
-            workers[target].queue.push_back(pos);
-            ++stats.redispatched;
-            emit(obs::JsonObject()
-                     .set("event", "worker-redispatch")
-                     .set("item",
-                          static_cast<std::uint64_t>(items[pos].index))
-                     .set("mutant", items[pos].mutant_id)
-                     .set("from", static_cast<std::uint64_t>(w))
-                     .set("to", static_cast<std::uint64_t>(target)));
-        }
+                      static_cast<std::uint64_t>(state.queue.size())));
     };
 
     // Connect and greet every endpoint.  A worker that cannot be
-    // reached is a dead worker, not a fatal error — its share moves to
-    // the survivors (below), matching the mid-campaign fault path.
+    // reached is a dead worker, not a fatal error — the survivors take
+    // its shard, exactly as on the mid-campaign fault path.
     for (std::size_t w = 0; w < workers.size(); ++w) {
         WorkerState& state = workers[w];
         state.endpoint = options_.workers[w];
+        state.phase = WorkerState::Phase::Handshaking;
         try {
             state.fd = connect_to(state.endpoint);
         } catch (const Error& e) {
-            emit(obs::JsonObject()
-                     .set("event", "worker-disconnect")
-                     .set("worker", static_cast<std::uint64_t>(w))
-                     .set("endpoint", state.endpoint.spec)
-                     .set("reason", std::string("connect: ") + e.what())
-                     .set("unfinished", static_cast<std::uint64_t>(0)));
-            ++stats.disconnects;
+            fail_worker(w, std::string("connect: ") + e.what());
             continue;
         }
         obs::JsonObject hello = options_.hello;
@@ -231,17 +213,9 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         }
         if (!wire::write_message(state.fd.get(), wire::MessageType::Hello,
                                  hello.to_line())) {
-            emit(obs::JsonObject()
-                     .set("event", "worker-disconnect")
-                     .set("worker", static_cast<std::uint64_t>(w))
-                     .set("endpoint", state.endpoint.spec)
-                     .set("reason", "hello-write-failed")
-                     .set("unfinished", static_cast<std::uint64_t>(0)));
-            state.fd.close();
-            ++stats.disconnects;
+            fail_worker(w, "hello-write-failed");
             continue;
         }
-        state.phase = WorkerState::Phase::Handshaking;
         state.last_heard = Clock::now();
     }
     if (live_count() == 0) {
@@ -249,35 +223,43 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                     std::to_string(stats.workers) + " configured)");
     }
 
-    // Deterministic partition by content key; shares of unreachable
-    // workers go straight through the redispatch path.
-    std::vector<std::size_t> orphaned;
+    // Deterministic partition by content key.
     for (std::size_t pos = 0; pos < items.size(); ++pos) {
-        const std::size_t shard =
-            campaign::shard_of(items[pos].key, workers.size());
-        if (workers[shard].phase == WorkerState::Phase::Dead) {
-            orphaned.push_back(pos);
-        } else {
-            workers[shard].queue.push_back(pos);
-        }
+        workers[campaign::shard_of(items[pos].key, workers.size())]
+            .queue.push_back(pos);
     }
-    for (const std::size_t pos : orphaned) {
-        std::size_t target = redispatch_cursor;
-        do {
-            target = (target + 1) % workers.size();
-        } while (workers[target].phase == WorkerState::Phase::Dead);
-        redispatch_cursor = target;
-        workers[target].queue.push_back(pos);
+
+    // The one scheduling rule: worker `w` takes the front of its own
+    // queue and, once that is empty, the back of the longest other
+    // queue — a live worker's unsent item (stolen) or a dead worker's
+    // unfinished one (redispatched).
+    auto take = [&](std::size_t w) -> std::optional<std::size_t> {
+        std::deque<std::size_t>& own = workers[w].queue;
+        if (!own.empty()) {
+            const std::size_t pos = own.front();
+            own.pop_front();
+            return pos;
+        }
+        std::size_t from = w;
+        for (std::size_t v = 0; v < workers.size(); ++v) {
+            if (workers[v].queue.size() > workers[from].queue.size()) from = v;
+        }
+        if (from == w) return std::nullopt;
+        const std::size_t pos = workers[from].queue.back();
+        workers[from].queue.pop_back();
+        if (workers[from].phase != WorkerState::Phase::Dead) {
+            ++stats.stolen;
+            return pos;
+        }
         ++stats.redispatched;
         emit(obs::JsonObject()
                  .set("event", "worker-redispatch")
                  .set("item", static_cast<std::uint64_t>(items[pos].index))
                  .set("mutant", items[pos].mutant_id)
-                 .set("from",
-                      static_cast<std::uint64_t>(campaign::shard_of(
-                          items[pos].key, workers.size())))
-                 .set("to", static_cast<std::uint64_t>(target)));
-    }
+                 .set("from", static_cast<std::uint64_t>(from))
+                 .set("to", static_cast<std::uint64_t>(w)));
+        return pos;
+    };
 
     // Drain one decoded message from worker `w`.  Returns false when the
     // worker was failed.
@@ -321,7 +303,7 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                 return true;
             }
             case wire::MessageType::Result: {
-                if (state.in_flight == kNoItem) {
+                if (state.window.empty()) {
                     fail_worker(w, "protocol: unsolicited result");
                     return false;
                 }
@@ -330,29 +312,34 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                     fail_worker(w, "protocol: unparseable result");
                     return false;
                 }
-                // The wire carries the item's global index; translate
-                // back to the in-flight position in `items`.
-                const std::size_t pos =
-                    static_cast<std::size_t>(state.in_flight);
+                // A worker answers its Work frames in arrival order, so
+                // this Result must be for the oldest outstanding item.
+                // The wire carries the item's global index.
+                const Outstanding sent = state.window.front();
+                const std::size_t pos = sent.pos;
                 const auto index = result->get_uint("item");
                 if (!index ||
                     *index != static_cast<std::uint64_t>(items[pos].index)) {
                     fail_worker(w, "protocol: result for wrong item");
                     return false;
                 }
-                state.in_flight = kNoItem;
+                state.window.pop_front();
                 if (tracing) {
-                    // The synthetic item-dispatch span covers the item's
-                    // whole round trip on the coordinator's clock; its id
-                    // is the minted per-item id the worker's work-item
-                    // span named as parent, closing the causal chain.
+                    // The synthetic item-dispatch span covers the time
+                    // the item waited as its worker's oldest outstanding
+                    // item: from its send, or from the merge of the
+                    // worker's previous Result if that is later, to this
+                    // Result.  One worker's spans are therefore disjoint.
+                    // Its id is the minted per-item id the worker's
+                    // work-item span named as parent, closing the causal
+                    // chain.
                     obs::TraceEvent event;
                     event.name = "item-dispatch";
                     event.category = "dispatch";
-                    event.ts_us = state.sent_us;
+                    event.ts_us = std::max(sent.sent_us, state.merged_us);
                     const std::uint64_t now_us = tracer.now_us();
                     event.dur_us =
-                        now_us > state.sent_us ? now_us - state.sent_us : 0;
+                        now_us > event.ts_us ? now_us - event.ts_us : 0;
                     event.tid = 0;
                     event.actor = tracer.actor();
                     event.span_id = item_span_id(pos);
@@ -365,14 +352,12 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                             .set("worker", static_cast<std::uint64_t>(w));
                     tracer.absorb(std::move(event));
                 }
-                if (!completed[pos]) {
-                    completed[pos] = true;
-                    --remaining;
-                    ++stats.executed;
-                    obs::JsonObject merged = *result;
-                    merged.set("worker", static_cast<std::uint64_t>(w));
-                    on_result(items[pos], merged);
-                }
+                --remaining;
+                ++stats.executed;
+                obs::JsonObject merged = *result;
+                merged.set("worker", static_cast<std::uint64_t>(w));
+                on_result(items[pos], merged);
+                state.merged_us = tracer.now_us();
                 return true;
             }
             case wire::MessageType::Telemetry:
@@ -403,39 +388,34 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                         std::to_string(remaining) + " items unfinished");
         }
 
-        // Hand every idle ready worker its next item.
+        // Top up every ready worker's window.
         for (std::size_t w = 0; w < workers.size(); ++w) {
             WorkerState& state = workers[w];
-            if (state.phase != WorkerState::Phase::Ready ||
-                state.in_flight != kNoItem) {
-                continue;
+            while (state.phase == WorkerState::Phase::Ready &&
+                   state.window.size() < kDispatchWindow) {
+                const std::optional<std::size_t> pos = take(w);
+                if (!pos) break;
+                const campaign::WorkItem& item = items[*pos];
+                obs::JsonObject work =
+                    obs::JsonObject()
+                        .set("item", static_cast<std::uint64_t>(item.index))
+                        .set("mutant", item.mutant_id)
+                        .set("item_seed", item.item_seed);
+                if (tracing) work.set("parent", obs::hex16(item_span_id(*pos)));
+                state.window.push_back(Outstanding{*pos, tracer.now_us()});
+                if (!wire::write_message(state.fd.get(),
+                                         wire::MessageType::Work,
+                                         work.to_line())) {
+                    fail_worker(w, "write-failed: " +
+                                       std::string(std::strerror(errno)));
+                    break;
+                }
+                emit(obs::JsonObject()
+                         .set("event", "item-start")
+                         .set("item", static_cast<std::uint64_t>(item.index))
+                         .set("mutant", item.mutant_id)
+                         .set("worker", static_cast<std::uint64_t>(w)));
             }
-            while (!state.queue.empty() && completed[state.queue.front()]) {
-                state.queue.pop_front();  // finished elsewhere meanwhile
-            }
-            if (state.queue.empty()) continue;
-            const std::size_t pos = state.queue.front();
-            state.queue.pop_front();
-            const campaign::WorkItem& item = items[pos];
-            obs::JsonObject work =
-                obs::JsonObject()
-                    .set("item", static_cast<std::uint64_t>(item.index))
-                    .set("mutant", item.mutant_id)
-                    .set("item_seed", item.item_seed);
-            if (tracing) work.set("parent", obs::hex16(item_span_id(pos)));
-            if (!wire::write_message(state.fd.get(), wire::MessageType::Work,
-                                     work.to_line())) {
-                fail_worker(w, "write-failed: " +
-                                   std::string(std::strerror(errno)));
-                continue;
-            }
-            state.in_flight = static_cast<std::ptrdiff_t>(pos);
-            state.sent_us = tracer.now_us();
-            emit(obs::JsonObject()
-                     .set("event", "item-start")
-                     .set("item", static_cast<std::uint64_t>(item.index))
-                     .set("mutant", item.mutant_id)
-                     .set("worker", static_cast<std::uint64_t>(w)));
         }
 
         // Wait for traffic on any live connection.
@@ -519,50 +499,59 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     // A minor-2 worker flushes its tail telemetry (session-end event,
     // the ended worker-session span, a final metrics snapshot) before
     // closing, so when streaming was negotiated we keep reading its
-    // connection until EOF — bounded, in case the worker wedges.
-    const bool draining =
-        tracing || options_.stream_telemetry;
-    const auto drain_deadline =
-        Clock::now() + std::chrono::milliseconds(2000);
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-        WorkerState& state = workers[w];
+    // connection until EOF.  Every worker gets its Shutdown first and
+    // all drain in one poll loop under one bound, so a worker that
+    // wedges cannot starve the others' drains.
+    const bool draining = tracing || options_.stream_telemetry;
+    for (WorkerState& state : workers) {
         if (state.phase == WorkerState::Phase::Dead) continue;
         (void)wire::write_message(state.fd.get(), wire::MessageType::Shutdown,
                                   "");
-        if (!draining || state.proto_minor < 2) {
-            state.fd.close();
-            continue;
+        if (!draining || state.proto_minor < 2) state.fd.close();
+    }
+    const auto drain_deadline = Clock::now() + std::chrono::milliseconds(2000);
+    for (;;) {
+        std::vector<pollfd> fds;
+        std::vector<WorkerState*> fd_owner;
+        for (WorkerState& state : workers) {
+            if (!state.fd.valid()) continue;
+            fds.push_back(pollfd{state.fd.get(), POLLIN, 0});
+            fd_owner.push_back(&state);
         }
-        while (Clock::now() < drain_deadline) {
-            pollfd pfd{state.fd.get(), POLLIN, 0};
-            const int ready = ::poll(&pfd, 1, 100);
-            if (ready < 0 && errno != EINTR) break;
-            if (ready <= 0) continue;
+        const auto left_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                drain_deadline - Clock::now())
+                .count();
+        if (fds.empty() || left_ms <= 0) break;
+        const int ready =
+            ::poll(fds.data(), fds.size(), static_cast<int>(left_ms));
+        if (ready < 0 && errno != EINTR) break;
+        for (std::size_t i = 0; ready > 0 && i < fds.size(); ++i) {
+            if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+            WorkerState& state = *fd_owner[i];
             char chunk[4096];
             const ssize_t got = ::read(state.fd.get(), chunk, sizeof chunk);
-            if (got == 0) break;  // worker flushed and closed
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN) continue;
-                break;
+            if (got < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+            if (got <= 0) {  // the worker flushed and closed, or is gone
+                state.fd.close();
+                continue;
             }
             state.decoder.feed(chunk, static_cast<std::size_t>(got));
-            bool poisoned = false;
             for (;;) {
                 wire::Message message;
                 const wire::Decoder::Status status =
                     state.decoder.next(&message);
-                if (status == wire::Decoder::Status::NeedMore) break;
                 if (status != wire::Decoder::Status::Ok) {
-                    poisoned = true;
+                    if (status != wire::Decoder::Status::NeedMore) {
+                        state.fd.close();  // poisoned stream
+                    }
                     break;
                 }
                 if (message.type == wire::MessageType::Telemetry) {
                     handle_telemetry(message.payload);
                 }
             }
-            if (poisoned) break;
         }
-        state.fd.close();
     }
 
     stats.wall_ms = ms_since(t0);

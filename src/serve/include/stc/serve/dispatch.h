@@ -7,16 +7,22 @@
 // Result stream back into per-item slots — completion order never leaks
 // into the merged output, exactly as in the in-process scheduler.
 //
+// Scheduling: each ready worker keeps up to kDispatchWindow Work frames
+// outstanding, refilled from the front of its own shard; once that is
+// empty it takes unsent items from the back of the longest other queue.
+//
 // Fault model: a worker is dead when its connection EOFs, its stream
-// fails to decode, a write to it errors, or it stays silent past
-// `dead_after_ms` (keepalive Pings are sent after `keepalive_ms` of
-// silence).  A dead worker's unfinished items — queued and in-flight —
-// are re-dispatched round-robin to the survivors; item results are a
-// pure function of (handshake config, item), so re-execution elsewhere
-// yields the same fates.  Only when every worker is dead with items
-// still unfinished does the dispatch fail.
+// fails to decode, a write to it errors, a Result does not answer its
+// oldest outstanding Work, or it stays silent past `dead_after_ms`
+// (keepalive Pings are sent after `keepalive_ms` of silence).  A dead
+// worker's unfinished items — its window and its queue — stay in its
+// queue, and the survivors take them under the same rule; item results
+// are a pure function of (handshake config, item), so re-execution
+// elsewhere yields the same fates.  Only when every worker is dead with
+// items still unfinished does the dispatch fail.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,6 +34,11 @@
 #include "stc/serve/socket.h"
 
 namespace stc::serve {
+
+/// Work frames a worker may have outstanding at once.  A worker answers
+/// its Work frames strictly in arrival order (docs/FORMATS.md §10), so
+/// the window needs no protocol support.
+inline constexpr std::size_t kDispatchWindow = 4;
 
 struct DispatchOptions {
     /// Worker endpoints (`--workers host:port[,host:port...]`).  List
@@ -66,7 +77,8 @@ struct DispatchStats {
     std::size_t workers = 0;            ///< configured endpoints
     std::size_t workers_connected = 0;  ///< completed the handshake
     std::size_t disconnects = 0;        ///< died at any point
-    std::size_t redispatched = 0;       ///< items moved off dead workers
+    std::size_t redispatched = 0;       ///< items taken from dead workers
+    std::size_t stolen = 0;             ///< unsent items taken from live ones
     std::size_t executed = 0;           ///< results merged
     double wall_ms = 0.0;
 };

@@ -5,6 +5,7 @@
 // and checks the merged fates against locally evaluated ones — the
 // determinism contract `concat dispatch` rests on.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,8 +13,10 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -104,6 +107,81 @@ struct DaemonHandle {
     std::uint16_t port = 0;
     std::thread thread;
 };
+
+/// A ToySession that takes `per_item` to evaluate each item.
+SessionFactory sleepy_factory(std::chrono::milliseconds per_item) {
+    return [per_item](const obs::JsonObject&, const obs::Context&,
+                      std::string*) -> std::unique_ptr<Session> {
+        class Sleepy : public ToySession {
+        public:
+            explicit Sleepy(std::chrono::milliseconds per_item)
+                : ToySession("toy-fp"), per_item_(per_item) {}
+            obs::JsonObject evaluate(const obs::JsonObject& work) override {
+                std::this_thread::sleep_for(per_item_);
+                return ToySession::evaluate(work);
+            }
+
+        private:
+            std::chrono::milliseconds per_item_;
+        };
+        return std::make_unique<Sleepy>(per_item);
+    };
+}
+
+/// The next message on `fd`, or nullopt once the peer hung up.
+std::optional<wire::Message> next_message(int fd, wire::Decoder& decoder) {
+    for (;;) {
+        wire::Message message;
+        const wire::Decoder::Status status = decoder.next(&message);
+        if (status == wire::Decoder::Status::Ok) return message;
+        if (status != wire::Decoder::Status::NeedMore) return std::nullopt;
+        char chunk[4096];
+        const ssize_t got = ::read(fd, chunk, sizeof chunk);
+        if (got <= 0) return std::nullopt;
+        decoder.feed(chunk, static_cast<std::size_t>(got));
+    }
+}
+
+/// A hand-driven worker on an ephemeral loopback port: `script` runs on
+/// its own thread with the one connection it accepts.
+struct RawWorker {
+    explicit RawWorker(std::function<void(int fd)> script) {
+        listener = listen_on("127.0.0.1", 0, &port);
+        thread = std::thread([this, script = std::move(script)] {
+            const Fd conn = accept_on(listener.get());
+            if (conn.valid()) script(conn.get());
+        });
+    }
+    ~RawWorker() { join(); }
+    RawWorker(const RawWorker&) = delete;
+    RawWorker& operator=(const RawWorker&) = delete;
+    /// Wait for the script to end (it must end when its peer hangs up).
+    void join() {
+        if (!thread.joinable()) return;
+        ::shutdown(listener.get(), SHUT_RDWR);  // wakes an idle accept
+        thread.join();
+    }
+    Endpoint endpoint() const {
+        return parse_endpoint("127.0.0.1:" + std::to_string(port));
+    }
+
+    Fd listener;
+    std::uint16_t port = 0;
+    std::thread thread;
+};
+
+/// Answer the coordinator's Hello as a streaming-capable toy worker
+/// would; false if the peer went away.
+bool accept_hello(int fd, wire::Decoder& decoder) {
+    const auto hello = next_message(fd, decoder);
+    return hello && hello->type == wire::MessageType::Hello &&
+           wire::write_message(fd, wire::MessageType::HelloAck,
+                               obs::JsonObject()
+                                   .set("ok", true)
+                                   .set("fingerprint", "toy-fp")
+                                   .set("proto_minor", wire::kProtocolMinor)
+                                   .to_line());
+}
 
 DispatchOptions toy_dispatch(const std::vector<Endpoint>& endpoints) {
     DispatchOptions options;
@@ -320,6 +398,211 @@ TEST(ServeDispatch, SilentWorkerIsDeclaredDeadByKeepalive) {
     ASSERT_EQ(answers.size(), 8u);
     EXPECT_EQ(stats.disconnects, 1u);
     EXPECT_GT(stats.redispatched, 0u);
+}
+
+TEST(ServeDispatch, EachWorkerKeepsAWindowOfWorkInFlight) {
+    // A few ms per item: each worker's window is sent long before its
+    // first Result can return.
+    DaemonHandle d1(sleepy_factory(std::chrono::milliseconds(5)));
+    DaemonHandle d2(sleepy_factory(std::chrono::milliseconds(5)));
+
+    // (worker, +1 for a send / -1 for a merge), in coordinator order.
+    std::vector<std::pair<std::uint64_t, int>> log;
+    DispatchOptions options = toy_dispatch({d1.endpoint(), d2.endpoint()});
+    options.telemetry = [&](const obs::JsonObject& event) {
+        if (event.get_string("event").value_or("") == "item-start") {
+            log.emplace_back(event.get_uint("worker").value_or(9), +1);
+        }
+    };
+    Coordinator coordinator(std::move(options));
+    const DispatchStats stats = coordinator.run(
+        toy_items(32), [&](const campaign::WorkItem&,
+                           const obs::JsonObject& result) {
+            log.emplace_back(result.get_uint("worker").value_or(9), -1);
+        });
+    EXPECT_EQ(stats.executed, 32u);
+
+    for (std::uint64_t w = 0; w < 2; ++w) {
+        std::size_t before_first_merge = 0;
+        std::size_t outstanding = 0;
+        std::size_t peak = 0;
+        bool merged = false;
+        for (const auto& [worker, step] : log) {
+            if (worker != w) continue;
+            if (step < 0) {
+                merged = true;
+                --outstanding;
+                continue;
+            }
+            if (!merged) ++before_first_merge;
+            peak = std::max(peak, ++outstanding);
+        }
+        EXPECT_EQ(before_first_merge, kDispatchWindow) << "worker " << w;
+        EXPECT_EQ(peak, kDispatchWindow) << "worker " << w;
+    }
+}
+
+TEST(ServeDispatch, OutOfOrderResultFailsTheWorkerAndItsWindowMovesOn) {
+    // The survivor holds its first item until the out-of-order worker
+    // has two Work frames, so it cannot finish the campaign alone first.
+    std::atomic<bool> window_seen{false};
+    DaemonHandle steady(
+        [&window_seen](const obs::JsonObject&, const obs::Context&,
+                       std::string*) -> std::unique_ptr<Session> {
+            class Patient : public ToySession {
+            public:
+                explicit Patient(std::atomic<bool>* go)
+                    : ToySession("toy-fp"), go_(go) {}
+                obs::JsonObject evaluate(const obs::JsonObject& work) override {
+                    for (int i = 0; i < 2000 && !go_->load(); ++i) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                    }
+                    return ToySession::evaluate(work);
+                }
+
+            private:
+                std::atomic<bool>* go_;
+            };
+            return std::make_unique<Patient>(&window_seen);
+        });
+    // Reads two Work frames, then answers the second one first.
+    std::vector<std::uint64_t> received;
+    RawWorker reorder([&](int fd) {
+        wire::Decoder decoder;
+        if (!accept_hello(fd, decoder)) return;
+        std::vector<obs::JsonObject> works;
+        while (works.size() < 2) {
+            const auto message = next_message(fd, decoder);
+            if (!message) return;
+            if (message->type != wire::MessageType::Work) continue;
+            works.push_back(*obs::JsonObject::parse(message->payload));
+            received.push_back(works.back().get_uint("item").value_or(0));
+        }
+        window_seen = true;
+        (void)wire::write_message(
+            fd, wire::MessageType::Result,
+            ToySession("toy-fp").evaluate(works[1]).to_line());
+        while (next_message(fd, decoder)) {
+        }
+    });
+
+    DispatchOptions options =
+        toy_dispatch({steady.endpoint(), reorder.endpoint()});
+    options.keepalive_ms = 50;
+    options.dead_after_ms = 500;
+    std::vector<obs::JsonObject> events;
+    options.telemetry = [&](const obs::JsonObject& event) {
+        events.push_back(event);
+    };
+    std::map<std::size_t, std::uint64_t> answers;
+    std::map<std::size_t, std::uint64_t> merged_by;
+    Coordinator coordinator(std::move(options));
+    const DispatchStats stats = coordinator.run(
+        toy_items(12), [&](const campaign::WorkItem& item,
+                           const obs::JsonObject& result) {
+            EXPECT_EQ(answers.count(item.index), 0u) << "duplicate result";
+            answers[item.index] = result.get_uint("answer").value_or(0);
+            merged_by[item.index] = result.get_uint("worker").value_or(9);
+        });
+    reorder.join();
+
+    ASSERT_EQ(answers.size(), 12u);
+    for (std::size_t i = 0; i < 12; ++i) {
+        EXPECT_EQ(answers[i], i * 7 + 1) << "item " << i;
+    }
+    EXPECT_EQ(stats.disconnects, 1u);
+    EXPECT_GE(stats.redispatched, 2u);
+    ASSERT_EQ(received.size(), 2u);
+    for (const std::uint64_t index : received) {
+        EXPECT_EQ(merged_by[index], 0u) << "item " << index;
+    }
+    std::size_t wrong_item_failures = 0;
+    for (const obs::JsonObject& event : events) {
+        if (event.get_string("event").value_or("") == "worker-disconnect" &&
+            event.get_uint("worker") == std::optional<std::uint64_t>(1) &&
+            event.get_string("reason").value_or("") ==
+                "protocol: result for wrong item") {
+            ++wrong_item_failures;
+        }
+    }
+    EXPECT_EQ(wrong_item_failures, 1u);
+}
+
+TEST(ServeDispatch, IdleWorkerTakesUnsentItemsFromASlowOne) {
+    DaemonHandle fast(toy_factory("toy-fp"));
+    DaemonHandle slow(sleepy_factory(std::chrono::milliseconds(20)));
+
+    const auto items = toy_items(24);
+    std::size_t fast_shard = 0;
+    for (const campaign::WorkItem& item : items) {
+        if (campaign::shard_of(item.key, 2) == 0) ++fast_shard;
+    }
+    ASSERT_LE(fast_shard + 2 * kDispatchWindow, items.size());
+
+    std::map<std::size_t, std::uint64_t> merged_by;
+    Coordinator coordinator(toy_dispatch({fast.endpoint(), slow.endpoint()}));
+    const DispatchStats stats = coordinator.run(
+        items, [&](const campaign::WorkItem& item,
+                   const obs::JsonObject& result) {
+            EXPECT_EQ(merged_by.count(item.index), 0u) << "duplicate result";
+            merged_by[item.index] = result.get_uint("worker").value_or(9);
+        });
+
+    EXPECT_EQ(merged_by.size(), items.size());
+    EXPECT_EQ(stats.disconnects, 0u);
+    EXPECT_EQ(stats.redispatched, 0u);
+    EXPECT_GT(stats.stolen, 0u);
+    std::size_t fast_executed = 0;
+    for (const auto& [index, worker] : merged_by) {
+        if (worker == 0) ++fast_executed;
+    }
+    EXPECT_GT(fast_executed, fast_shard);
+}
+
+TEST(ServeDispatch, WedgedWorkerDoesNotStarveTheShutdownDrain) {
+    // Ordinal 0 answers its Work but never closes after Shutdown, so
+    // only the coordinator's 2 s drain bound ends its session.
+    RawWorker wedged([](int fd) {
+        wire::Decoder decoder;
+        if (!accept_hello(fd, decoder)) return;
+        while (const auto message = next_message(fd, decoder)) {
+            if (message->type == wire::MessageType::Work) {
+                const auto work = obs::JsonObject::parse(message->payload);
+                (void)wire::write_message(
+                    fd, wire::MessageType::Result,
+                    ToySession("toy-fp").evaluate(*work).to_line());
+            } else if (message->type == wire::MessageType::Ping) {
+                (void)wire::write_message(fd, wire::MessageType::Pong,
+                                          message->payload);
+            }
+        }
+    });
+    DaemonHandle healthy(toy_factory("toy-fp"));
+
+    DispatchOptions options =
+        toy_dispatch({wedged.endpoint(), healthy.endpoint()});
+    options.stream_telemetry = true;
+    std::vector<obs::JsonObject> events;
+    options.telemetry = [&](const obs::JsonObject& event) {
+        events.push_back(event);
+    };
+    Coordinator coordinator(std::move(options));
+    const DispatchStats stats = coordinator.run(
+        toy_items(8),
+        [](const campaign::WorkItem&, const obs::JsonObject&) {});
+    wedged.join();
+
+    EXPECT_EQ(stats.executed, 8u);
+    EXPECT_EQ(stats.disconnects, 0u);
+    std::size_t healthy_ends = 0;
+    for (const obs::JsonObject& event : events) {
+        if (event.get_string("event").value_or("") == "worker-session-end" &&
+            event.get_uint("worker") == std::optional<std::uint64_t>(1)) {
+            ++healthy_ends;
+        }
+    }
+    EXPECT_EQ(healthy_ends, 1u);
 }
 
 // --------------------------------------------------------------- worker
@@ -740,25 +1023,10 @@ TEST(ServeWorker, Minor1CoordinatorNegotiatesNoStreaming) {
                                 .to_line()));
 
     wire::Decoder decoder;
-    auto next_message = [&]() {
-        wire::Message message;
-        for (;;) {
-            const auto status = decoder.next(&message);
-            if (status == wire::Decoder::Status::Ok) return message;
-            EXPECT_EQ(status, wire::Decoder::Status::NeedMore);
-            char chunk[4096];
-            const ssize_t got = ::read(fd.get(), chunk, sizeof chunk);
-            if (got <= 0) {
-                ADD_FAILURE() << "connection closed mid-read";
-                return message;
-            }
-            decoder.feed(chunk, static_cast<std::size_t>(got));
-        }
-    };
-
-    const wire::Message ack = next_message();
-    ASSERT_EQ(ack.type, wire::MessageType::HelloAck);
-    const auto payload = obs::JsonObject::parse(ack.payload);
+    const auto ack = next_message(fd.get(), decoder);
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, wire::MessageType::HelloAck);
+    const auto payload = obs::JsonObject::parse(ack->payload);
     ASSERT_TRUE(payload.has_value());
     EXPECT_EQ(payload->get_uint("proto_minor"),
               std::optional<std::uint64_t>(wire::kProtocolMinor));
@@ -766,11 +1034,12 @@ TEST(ServeWorker, Minor1CoordinatorNegotiatesNoStreaming) {
     ASSERT_TRUE(wire::write_message(
         fd.get(), wire::MessageType::Work,
         obs::JsonObject().set("item", std::uint64_t{0}).set("mutant", "m").to_line()));
-    const wire::Message result = next_message();
+    const auto result = next_message(fd.get(), decoder);
+    ASSERT_TRUE(result.has_value());
     // Streaming fields were present in the Hello but the peer is
     // minor 1, so the very next frame is the Result — no Telemetry
     // frame precedes it (a minor-1 decoder would reject type 9).
-    EXPECT_EQ(result.type, wire::MessageType::Result);
+    EXPECT_EQ(result->type, wire::MessageType::Result);
     ASSERT_TRUE(wire::write_message(fd.get(), wire::MessageType::Shutdown, ""));
 }
 

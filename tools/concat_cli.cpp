@@ -1699,6 +1699,7 @@ int cmd_dispatch(const Options& options) {
               << " executed=" << stats.executed
               << " resumed=" << result.stats.resumed
               << " redispatched=" << stats.redispatched
+              << " stolen=" << stats.stolen
               << " disconnects=" << stats.disconnects
               << " wall_ms=" << stats.wall_ms << "\n";
     if (result.stats.pruned) {
