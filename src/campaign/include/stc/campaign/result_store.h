@@ -108,16 +108,27 @@ public:
 
     [[nodiscard]] const ItemRecord* find(const std::string& key) const;
 
-    /// Append one completed item and flush it to disk.  Thread-safe.
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+    /// Append one completed item and flush it to disk.  Thread-safe and
+    /// never throws (pool tasks must not): a write that fails (disk
+    /// full, file size limit) marks the store failed and later appends
+    /// skip the file, whose torn last line a resume drops.  The caller
+    /// checks failed() once the run is over.
     void append(const ItemRecord& record);
 
+    /// Some append did not reach the file.  Thread-safe.
+    [[nodiscard]] bool failed();
+
 private:
+    std::string path_;
     std::string fingerprint_;
     std::map<std::string, ItemRecord> records_;
     std::size_t loaded_ = 0;
     std::size_t dropped_ = 0;
     std::mutex mutex_;
     std::ofstream out_;
+    bool failed_ = false;
 };
 
 }  // namespace stc::campaign

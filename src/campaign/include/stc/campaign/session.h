@@ -169,7 +169,8 @@ public:
     /// Close the run: one kill-reason row per detector, campaign-end and
     /// the campaign.* metrics.  `workers` and `wall_ms` describe the
     /// item phase; `executor_count` is the pool's steals or the
-    /// sandbox's respawns (0 for the remote executor).
+    /// sandbox's respawns (0 for the remote executor).  Throws
+    /// stc::Error naming the store when some record did not reach it.
     [[nodiscard]] CampaignResult end(std::size_t workers,
                                      std::uint64_t executor_count,
                                      double wall_ms);

@@ -161,7 +161,7 @@ void rewrite_store(const std::string& path, const std::string& fingerprint,
 }
 
 ResultStore::ResultStore(const std::string& path, const std::string& fingerprint)
-    : fingerprint_(fingerprint) {
+    : path_(path), fingerprint_(fingerprint) {
     // A store of this campaign resumes.  A torn tail (the final line cut
     // short by the interruption that makes resume necessary) or a
     // malformed line is dropped and the file rewritten from the
@@ -194,9 +194,17 @@ const ItemRecord* ResultStore::find(const std::string& key) const {
 
 void ResultStore::append(const ItemRecord& record) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    out_ << record.to_json().to_line() << '\n';
-    out_.flush();
+    if (!failed_) {
+        out_ << record.to_json().to_line() << '\n';
+        out_.flush();
+        failed_ = !out_;
+    }
     records_.insert_or_assign(record.key, record);
+}
+
+bool ResultStore::failed() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return failed_;
 }
 
 }  // namespace stc::campaign

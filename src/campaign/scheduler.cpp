@@ -104,6 +104,16 @@ std::uint64_t run_pool(const Session& session, Ledger& ledger,
     tasks.reserve(pending.size());
     for (const WorkItem& item : pending) {
         tasks.push_back([&, item = &item](const WorkerContext& context) {
+            // The whole item on its worker: evaluation plus the
+            // completion path (telemetry, store append) around it.
+            const obs::Tracer& tracer = options.obs.tracer;
+            const obs::SpanScope item_span(
+                tracer, "campaign", "work-item",
+                tracer.enabled()
+                    ? JsonObject()
+                          .set("item", static_cast<std::uint64_t>(item->index))
+                          .set("mutant", item->mutant_id)
+                    : JsonObject());
             const auto item_start = Clock::now();
             trace.emit(
                 JsonObject()

@@ -5,6 +5,7 @@
 
 #include "stc/campaign/seed.h"
 #include "stc/mutation/coverage.h"
+#include "stc/support/error.h"
 
 namespace stc::campaign {
 
@@ -312,6 +313,9 @@ void Ledger::finish(const WorkItem& item, mutation::MutantOutcome outcome,
 
 CampaignResult Ledger::end(std::size_t workers, std::uint64_t executor_count,
                            double wall_ms) {
+    if (store_ != nullptr && store_->failed()) {
+        throw Error("cannot write result store: " + store_->path());
+    }
     const bool pool = executor_ == ExecutorKind::Pool;
     CampaignResult out;
     out.fingerprint = session_.fingerprint();

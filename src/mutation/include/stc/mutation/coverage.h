@@ -7,11 +7,16 @@
 // (test-case/call boundaries), so one un-mutated pass yields the full
 // (test case, mutation site) -> first-hit call index relation.
 //
-// The index powers the fast campaign tier (stc/mutation/prune.h):
+// The index powers the fast campaign tier (stc/mutation/prune.h), which
+// inverts it once per campaign into per-site postings (site -> covering
+// cases with their first-hit calls):
 //   * pruning — a (mutant, case) pair whose site the case provably never
 //     reaches executes byte-identically to golden and can be skipped;
 //   * memoization — the first-hit call index bounds how deep a shared
 //     prefix checkpoint may sit while staying fate-identical.
+// The recorder itself stays a per-case map, so the other users of
+// run_with_coverage (e.g. the kill search's per-candidate coverage runs)
+// pay nothing for the inversion.
 #pragma once
 
 #include <cstddef>

@@ -1,22 +1,31 @@
-// The fast campaign execution tier: coverage-signature pruning plus
-// shared-prefix memoization.
+// The fast campaign execution tier: coverage-signature pruning,
+// shared-prefix memoization, and a stop at the first crash kill.
 //
-// Both optimisations rest on one determinism fact: an execution that
-// never consults a mutant's use-site is byte-identical to the golden
-// run.  Hence
+// All three rest on one determinism fact: an execution that never
+// consults a mutant's use-site is byte-identical to the golden run.
+// Hence
 //   * a (mutant, case) pair whose site the case provably never reaches
 //     (per the CoverageIndex from the golden run) can be skipped
 //     outright — it can neither hit nor kill;
 //   * a case whose first consult of the site happens at call k may start
 //     from a checkpoint of the un-mutated execution taken before any
-//     call <= k, because the mutated run is identical up to that point.
+//     call <= k, because the mutated run is identical up to that point;
+//   * once a covering case crashes where the golden run did not, the
+//     remaining covering cases cannot change the mutant's fate: Crash
+//     is the strongest kill reason, and the crash proves the site was
+//     consulted, so hit_by_suite is already true.  The evaluator folds
+//     each result into an oracle::DifferentialFold as the case finishes
+//     and stops the leg (suite or probe) once the fold saturates.
 //
-// Checkpoints are behavioural copies (ClassBinding cloner) captured once
-// per distinct birth prefix on the un-mutated component and shared by
-// every case with that prefix and by every mutant — the "execute the
-// un-mutated prefix once per group" memoization.  Fate identity with
-// evaluate_mutant is the contract, enforced end-to-end by the
-// differential harness in tests/prune_test.cpp.
+// The coverage index is inverted once per plan into per-site postings,
+// so choosing a mutant's covering cases — and each one's resume bound —
+// is one lookup.  Checkpoints are behavioural copies (ClassBinding
+// cloner) captured once per distinct birth prefix on the un-mutated
+// component and shared by every case with that prefix and by every
+// mutant — the "execute the un-mutated prefix once per group"
+// memoization.  Fate identity with evaluate_mutant is the contract,
+// enforced end-to-end by the differential harness in
+// tests/prune_test.cpp.
 //
 // Manual oracles are the one detector that breaks the premise (they may
 // reject a byte-identical Pass report), so the campaign scheduler keeps
@@ -25,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "stc/mutation/coverage.h"
@@ -35,7 +45,9 @@ namespace stc::mutation {
 /// Version of the pruned execution tier, absorbed into the campaign
 /// store fingerprint (as "prune-index-v1") when pruning is engaged so a
 /// resumed store never mixes fates produced under different pruning
-/// semantics.  Bump on any change to the skip/memoize rules.
+/// semantics.  Bump when a skip, memoize or stop rule changes any
+/// stored fate, reason or hit flag; a rule that only skips work which
+/// cannot change them (the crash stop) keeps the version.
 inline constexpr std::uint64_t kPruneIndexVersion = 1;
 inline constexpr const char* kPruneIndexToken = "prune-index-v1";
 
@@ -45,16 +57,43 @@ struct CasePlan {
     std::vector<driver::CaseCheckpoint> checkpoints;
 };
 
+/// One case that reaches a mutation site: its position in the suite
+/// and the call during which it first consults the site (the
+/// CoverageIndex::first_hit convention) — the deepest sound resume.
+struct SitePosting {
+    std::size_t case_index = 0;
+    std::size_t first_hit = 0;
+};
+
+/// A coverage index inverted into per-site postings: for each reached
+/// (method, site), the cases reaching it, ascending by case_index.
+class SitePostings {
+public:
+    SitePostings() = default;
+    /// Invert `coverage`, recorded from a run of `suite`, over the
+    /// suite's case positions (a case the index does not know reaches
+    /// nothing).
+    SitePostings(const CoverageIndex& coverage, const driver::TestSuite& suite);
+
+    /// The cases reaching `mutant`'s site; empty when none does.
+    [[nodiscard]] const std::vector<SitePosting>& of(const Mutant& mutant) const;
+
+private:
+    std::map<CoverageIndex::SiteKey, std::vector<SitePosting>> by_site_;
+};
+
 /// Everything the pruned evaluator needs besides the golden records:
-/// coverage indices for suite and probe, and the shared-prefix
-/// checkpoint ladders (index-aligned with the respective case lists).
-/// Built once, before the parallel phase, on the un-mutated component;
-/// read-only afterwards (checkpoint prototypes are cloned, never
-/// mutated, so concurrent evaluation and copy-on-write fork inheritance
-/// under --isolate are both safe).
+/// coverage indices for suite and probe, their per-site postings, and
+/// the shared-prefix checkpoint ladders (index-aligned with the
+/// respective case lists).  Built once, before the parallel phase, on
+/// the un-mutated component; read-only afterwards (checkpoint
+/// prototypes are cloned, never mutated, so concurrent evaluation and
+/// copy-on-write fork inheritance under --isolate are both safe).
 struct PrunePlan {
     CoverageIndex coverage;
     CoverageIndex probe_coverage;
+    SitePostings postings;
+    SitePostings probe_postings;
     std::vector<CasePlan> case_plans;
     std::vector<CasePlan> probe_case_plans;
 };
@@ -62,7 +101,9 @@ struct PrunePlan {
 /// Work avoided/performed by one (or many summed) pruned evaluations.
 struct PruneStats {
     std::uint64_t executed_pairs = 0;  ///< (mutant, case) pairs actually run
-    std::uint64_t pruned_pairs = 0;    ///< pairs skipped as provably unreached
+    /// Pairs skipped because they cannot change the fate: the case never
+    /// reaches the site, or an earlier case already crashed the mutant.
+    std::uint64_t pruned_pairs = 0;
     std::uint64_t memoized_pairs = 0;  ///< executed pairs resumed mid-case
     std::uint64_t memoized_calls = 0;  ///< body calls those resumes skipped
 
@@ -87,9 +128,10 @@ struct PrunePlanOptions {
     bool memoize = true;
 };
 
-/// Build the checkpoint ladders for `suite` (and `probe_suite`, which
-/// may be null along with `probe_runner`) from their recorded coverage.
-/// `coverage` and `probe_coverage` are moved into the returned plan.
+/// Build the postings and checkpoint ladders for `suite` (and
+/// `probe_suite`, which may be null along with `probe_runner`) from
+/// their recorded coverage.  `coverage` and `probe_coverage` are moved
+/// into the returned plan.
 /// Runs each distinct birth prefix once on the un-mutated component;
 /// must be called with no mutant active.  Suite and probe ladders are
 /// captured with their own runners (probe observations differ — it
@@ -102,7 +144,9 @@ struct PrunePlanOptions {
 
 /// Drop-in replacement for evaluate_mutant: identical fates (the
 /// differential harness in tests/prune_test.cpp is the net), ~an order
-/// of magnitude less execution.  `probe_runner`/`probe_suite` may be
+/// of magnitude less execution.  Runs each leg's covering cases in suite
+/// order and stops the leg at its first crash kill; every pair not run
+/// counts as pruned, so executed + pruned covers each leg's cases.  `probe_runner`/`probe_suite` may be
 /// null (no equivalence probing).  `options.manual_oracle` must be
 /// empty — callers gate pruning off instead.  Thread-safe under the
 /// same conditions as evaluate_mutant; `stats`, when given, is summed

@@ -96,24 +96,18 @@ std::vector<CasePlan> build_ladders(
     return plans;
 }
 
-/// Run one covering case, resumed from the deepest usable checkpoint.
+/// Run one covering case, resumed from the deepest checkpoint at or
+/// before the posting's first hit (execution is un-mutated until then).
 driver::TestResult run_one(const driver::TestRunner& runner,
                            const reflect::ClassBinding& binding,
-                           const driver::TestCase& tc,
-                           const CoverageIndex& coverage,
-                           const std::vector<CasePlan>& plans, std::size_t index,
-                           const Mutant& mutant, PruneStats& stats) {
+                           const driver::TestCase& tc, const SitePosting& posting,
+                           const std::vector<CasePlan>& plans, PruneStats& stats) {
     ++stats.executed_pairs;
     const driver::CaseCheckpoint* best = nullptr;
-    if (index < plans.size()) {
-        // Sound resume depth: at or before the first call that consults
-        // the mutant's site (execution is un-mutated until then).
-        const std::optional<std::size_t> bound = coverage.first_hit(tc.id, mutant);
-        if (bound.has_value()) {
-            for (const driver::CaseCheckpoint& cp : plans[index].checkpoints) {
-                if (cp.resume_call > *bound) break;
-                best = &cp;
-            }
+    if (posting.case_index < plans.size()) {
+        for (const driver::CaseCheckpoint& cp : plans[posting.case_index].checkpoints) {
+            if (cp.resume_call > posting.first_hit) break;
+            best = &cp;
         }
     }
     if (best != nullptr) {
@@ -129,17 +123,61 @@ driver::TestResult run_one(const driver::TestRunner& runner,
     return runner.run_case(binding, tc);
 }
 
-std::vector<std::size_t> covering_indices(const CoverageIndex& coverage,
-                                          const driver::TestSuite& suite,
-                                          const Mutant& mutant) {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < suite.cases.size(); ++i) {
-        if (coverage.covers(suite.cases[i].id, mutant)) out.push_back(i);
+/// One leg (suite or probe) of a pruned evaluation: run the cases that
+/// reach the mutant's site, in suite order, folding each result against
+/// its golden entry, until the fold saturates.  Every case not run
+/// counts as pruned.  A leg that ran any case is counted on `obs` the
+/// way classify_suite (`differential` false) or
+/// classify_suite_differential would; the compares were folded in as
+/// each case finished, so its span covers only the verdict's counters.
+/// True when the leg consulted the site.
+bool run_leg(const Mutant& mutant, const driver::TestRunner& runner,
+             const reflect::ClassBinding& binding, const driver::TestSuite& suite,
+             const oracle::GoldenRecord& golden, const SitePostings& postings,
+             const std::vector<CasePlan>& plans, oracle::DifferentialFold& fold,
+             bool differential, const obs::Context& obs, PruneStats& stats) {
+    const std::vector<SitePosting>& covering = postings.of(mutant);
+    std::size_t executed = 0;
+    bool hit = false;
+    if (!covering.empty()) {
+        const MutantActivation activation(mutant);
+        for (const SitePosting& posting : covering) {
+            if (fold.saturated()) break;
+            const driver::TestCase& tc = suite.cases[posting.case_index];
+            const driver::TestResult result =
+                run_one(runner, binding, tc, posting, plans, stats);
+            ++executed;
+            const oracle::GoldenEntry* entry = golden.find(posting.case_index, tc.id);
+            if (entry != nullptr) fold.add(*entry, result);
+        }
+        hit = MutationController::instance().hit();
+        const obs::SpanScope span(obs.tracer, "oracle-compare",
+                                  differential ? "classify-suite-differential"
+                                               : "classify-suite");
+        fold.record(obs, differential);
     }
-    return out;
+    stats.pruned_pairs += static_cast<std::uint64_t>(suite.cases.size() - executed);
+    return hit;
 }
 
 }  // namespace
+
+SitePostings::SitePostings(const CoverageIndex& coverage,
+                           const driver::TestSuite& suite) {
+    for (std::size_t i = 0; i < suite.cases.size(); ++i) {
+        const CoverageIndex::CaseCoverage* cc = coverage.find(suite.cases[i].id);
+        if (cc == nullptr) continue;
+        for (const auto& [site, first_hit] : cc->first_hit) {
+            by_site_[site].push_back(SitePosting{i, first_hit});
+        }
+    }
+}
+
+const std::vector<SitePosting>& SitePostings::of(const Mutant& mutant) const {
+    static const std::vector<SitePosting> kNone;
+    const auto it = by_site_.find(CoverageIndex::SiteKey{mutant.method, mutant.site_index});
+    return it != by_site_.end() ? it->second : kNone;
+}
 
 PrunePlan build_prune_plan(const driver::TestRunner& runner,
                            const reflect::ClassBinding& binding,
@@ -151,8 +189,10 @@ PrunePlan build_prune_plan(const driver::TestRunner& runner,
     PrunePlan plan;
     plan.coverage = std::move(coverage);
     plan.probe_coverage = std::move(probe_coverage);
+    plan.postings = SitePostings(plan.coverage, suite);
     plan.case_plans.resize(suite.cases.size());
     if (probe_suite != nullptr) {
+        plan.probe_postings = SitePostings(plan.probe_coverage, *probe_suite);
         plan.probe_case_plans.resize(probe_suite->cases.size());
     }
     if (!options.memoize || !binding.has_cloner()) return plan;
@@ -181,8 +221,6 @@ MutantOutcome evaluate_mutant_pruned(
         throw ContractError(
             "pruned evaluation cannot honour a manual oracle; run unpruned");
     }
-    auto& controller = MutationController::instance();
-
     using ObsClock = std::chrono::steady_clock;
     const bool metered = options.obs.metrics.enabled();
     const ObsClock::time_point eval_start =
@@ -204,28 +242,12 @@ MutantOutcome evaluate_mutant_pruned(
     MutantOutcome outcome;
     outcome.mutant = &mutant;
 
-    const std::vector<std::size_t> covering =
-        covering_indices(plan.coverage, suite, mutant);
-    local.pruned_pairs +=
-        static_cast<std::uint64_t>(suite.cases.size() - covering.size());
-
-    if (!covering.empty()) {
-        const MutantActivation activation(mutant);
-        driver::SuiteResult mutated;
-        mutated.results.reserve(covering.size());
-        for (const std::size_t index : covering) {
-            mutated.results.push_back(run_one(runner, binding,
-                                              suite.cases[index], plan.coverage,
-                                              plan.case_plans, index, mutant,
-                                              local));
-        }
-        outcome.hit_by_suite = controller.hit();
-        const oracle::DifferentialKill differential =
-            oracle::classify_suite_differential(golden, mutated, options.oracle,
-                                                {}, options.obs);
-        outcome.reason = differential.with_model;
-        outcome.model_only = differential.model_only();
-    }
+    oracle::DifferentialFold fold(options.oracle);
+    outcome.hit_by_suite =
+        run_leg(mutant, runner, binding, suite, golden, plan.postings,
+                plan.case_plans, fold, true, options.obs, local);
+    outcome.reason = fold.kill().with_model;
+    outcome.model_only = fold.kill().model_only();
 
     const auto finish = [&](MutantFate fate) {
         outcome.fate = fate;
@@ -243,29 +265,14 @@ MutantOutcome evaluate_mutant_pruned(
                                            : MutantFate::NotCovered);
     }
 
-    const std::vector<std::size_t> probe_covering =
-        covering_indices(plan.probe_coverage, *probe_suite, mutant);
-    local.pruned_pairs += static_cast<std::uint64_t>(probe_suite->cases.size() -
-                                                     probe_covering.size());
+    // The probe always uses the full oracle, as evaluate_mutant's does.
+    oracle::DifferentialFold probe_fold;
+    const bool probe_hit =
+        run_leg(mutant, *probe_runner, binding, *probe_suite, probe_golden,
+                plan.probe_postings, plan.probe_case_plans, probe_fold, false,
+                options.obs, local);
 
-    bool probe_hit = false;
-    oracle::KillReason probe_reason = oracle::KillReason::None;
-    if (!probe_covering.empty()) {
-        const MutantActivation activation(mutant);
-        driver::SuiteResult probed;
-        probed.results.reserve(probe_covering.size());
-        for (const std::size_t index : probe_covering) {
-            probed.results.push_back(
-                run_one(*probe_runner, binding, probe_suite->cases[index],
-                        plan.probe_coverage, plan.probe_case_plans, index,
-                        mutant, local));
-        }
-        probe_hit = controller.hit();
-        probe_reason =
-            oracle::classify_suite(probe_golden, probed, {}, {}, options.obs);
-    }
-
-    if (probe_reason != oracle::KillReason::None) {
+    if (probe_fold.kill().with_model != oracle::KillReason::None) {
         outcome.killed_by_probe = true;
         return finish(MutantFate::Alive);  // killable, just not by `suite`
     }

@@ -6,6 +6,7 @@
 // chrome://tracing.  Conventional categories, from coarse to fine:
 //
 //   phase              one pipeline stage (generate, baseline, items...)
+//   campaign           one work item on a pool worker, completion included
 //   test-case          one TestCase executed by a runner
 //   method-call        one CUT method invocation inside a case
 //   oracle-compare     one golden-vs-observed suite classification

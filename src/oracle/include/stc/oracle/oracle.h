@@ -47,6 +47,11 @@ public:
     static GoldenRecord from(const driver::SuiteResult& baseline);
 
     [[nodiscard]] const GoldenEntry* find(const std::string& case_id) const;
+    /// The entry of the case at `position` in the suite the baseline ran,
+    /// when its id is `case_id`; otherwise find(case_id).  Constant time
+    /// for a record captured from that suite, where find() scans.
+    [[nodiscard]] const GoldenEntry* find(std::size_t position,
+                                          const std::string& case_id) const;
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
     [[nodiscard]] const std::vector<GoldenEntry>& entries() const noexcept {
         return entries_;
@@ -155,5 +160,41 @@ struct DifferentialKill {
     const GoldenRecord& golden, const driver::SuiteResult& observed,
     const OracleConfig& config = {}, const ManualPredicate& manual = {},
     const obs::Context& obs = {});
+
+/// The incremental form of both suite classifications: results are
+/// folded in one at a time, each against its golden entry, keeping the
+/// strongest reason per leg.  classify_suite is the fold's with_model
+/// leg and classify_suite_differential both legs, over the results in
+/// suite order.  An evaluator that classifies while it executes can stop
+/// running cases once the fold is saturated.
+class DifferentialFold {
+public:
+    explicit DifferentialFold(const OracleConfig& config = {},
+                              ManualPredicate manual = {});
+
+    /// Fold in one observed result against its golden entry.
+    void add(const GoldenEntry& golden, const driver::TestResult& observed);
+
+    /// No further result can change either leg: both are Crash, the
+    /// strongest reason.  Never true with config.use_crashes off.
+    [[nodiscard]] bool saturated() const noexcept {
+        return kill_.with_model == KillReason::Crash &&
+               kill_.without_model == KillReason::Crash;
+    }
+
+    [[nodiscard]] const DifferentialKill& kill() const noexcept { return kill_; }
+
+    /// Count this classification on `obs` as classify_suite does
+    /// (oracle.suite_compares, oracle.kill.<with_model>) and, when
+    /// `differential`, as classify_suite_differential does (plus
+    /// oracle.kill.model_only for a model-only kill).
+    void record(const obs::Context& obs, bool differential) const;
+
+private:
+    OracleConfig config_;
+    OracleConfig without_model_;
+    ManualPredicate manual_;
+    DifferentialKill kill_;
+};
 
 }  // namespace stc::oracle

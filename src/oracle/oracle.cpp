@@ -1,5 +1,7 @@
 #include "stc/oracle/oracle.h"
 
+#include <utility>
+
 namespace stc::oracle {
 
 GoldenRecord GoldenRecord::from(const driver::SuiteResult& baseline) {
@@ -17,6 +19,14 @@ const GoldenEntry* GoldenRecord::find(const std::string& case_id) const {
         if (e.case_id == case_id) return &e;
     }
     return nullptr;
+}
+
+const GoldenEntry* GoldenRecord::find(std::size_t position,
+                                      const std::string& case_id) const {
+    if (position < entries_.size() && entries_[position].case_id == case_id) {
+        return &entries_[position];
+    }
+    return find(case_id);
 }
 
 bool GoldenRecord::all_passed() const noexcept {
@@ -120,24 +130,62 @@ int strength(KillReason r) noexcept {
 
 }  // namespace
 
+DifferentialFold::DifferentialFold(const OracleConfig& config,
+                                   ManualPredicate manual)
+    : config_(config), without_model_(config), manual_(std::move(manual)) {
+    without_model_.use_model = false;
+}
+
+void DifferentialFold::add(const GoldenEntry& golden,
+                           const driver::TestResult& observed) {
+    const KillReason with = classify(golden, observed, config_, manual_);
+    // The legs differ only in the model check, so they can disagree only
+    // where it fired: any other verdict is reached identically without it.
+    const KillReason sans =
+        with == KillReason::ModelDivergence
+            ? classify(golden, observed, without_model_, manual_)
+            : with;
+    if (strength(with) > strength(kill_.with_model)) kill_.with_model = with;
+    if (strength(sans) > strength(kill_.without_model)) kill_.without_model = sans;
+}
+
+void DifferentialFold::record(const obs::Context& obs, bool differential) const {
+    if (!obs.metrics.enabled()) return;
+    obs.metrics.add("oracle.suite_compares");
+    obs.metrics.add(std::string("oracle.kill.") + to_string(kill_.with_model));
+    if (differential && kill_.model_only()) {
+        obs.metrics.add("oracle.kill.model_only");
+    }
+}
+
+namespace {
+
+/// Fold `observed` in suite order, stopping once nothing can change.
+/// Results of cases the baseline did not run are skipped: there is
+/// nothing to compare them against.
+DifferentialFold fold_suite(const GoldenRecord& golden,
+                            const driver::SuiteResult& observed,
+                            const OracleConfig& config,
+                            const ManualPredicate& manual) {
+    DifferentialFold fold(config, manual);
+    for (std::size_t i = 0; i < observed.results.size() && !fold.saturated(); ++i) {
+        const driver::TestResult& result = observed.results[i];
+        const GoldenEntry* entry = golden.find(i, result.case_id);
+        if (entry != nullptr) fold.add(*entry, result);
+    }
+    return fold;
+}
+
+}  // namespace
+
 KillReason classify_suite(const GoldenRecord& golden,
                           const driver::SuiteResult& observed,
                           const OracleConfig& config, const ManualPredicate& manual,
                           const obs::Context& obs) {
     const obs::SpanScope span(obs.tracer, "oracle-compare", "classify-suite");
-    KillReason best = KillReason::None;
-    for (const auto& result : observed.results) {
-        const GoldenEntry* entry = golden.find(result.case_id);
-        if (entry == nullptr) continue;  // new case: nothing to compare against
-        const KillReason r = classify(*entry, result, config, manual);
-        if (strength(r) > strength(best)) best = r;
-        if (best == KillReason::Crash) break;  // cannot get stronger
-    }
-    if (obs.metrics.enabled()) {
-        obs.metrics.add("oracle.suite_compares");
-        obs.metrics.add(std::string("oracle.kill.") + to_string(best));
-    }
-    return best;
+    const DifferentialFold fold = fold_suite(golden, observed, config, manual);
+    fold.record(obs, false);
+    return fold.kill().with_model;
 }
 
 DifferentialKill classify_suite_differential(const GoldenRecord& golden,
@@ -147,28 +195,9 @@ DifferentialKill classify_suite_differential(const GoldenRecord& golden,
                                              const obs::Context& obs) {
     const obs::SpanScope span(obs.tracer, "oracle-compare",
                               "classify-suite-differential");
-    OracleConfig without = config;
-    without.use_model = false;
-
-    DifferentialKill out;
-    for (const auto& result : observed.results) {
-        const GoldenEntry* entry = golden.find(result.case_id);
-        if (entry == nullptr) continue;
-        const KillReason with = classify(*entry, result, config, manual);
-        const KillReason sans = classify(*entry, result, without, manual);
-        if (strength(with) > strength(out.with_model)) out.with_model = with;
-        if (strength(sans) > strength(out.without_model)) out.without_model = sans;
-        if (out.with_model == KillReason::Crash &&
-            out.without_model == KillReason::Crash) {
-            break;  // neither leg can get stronger
-        }
-    }
-    if (obs.metrics.enabled()) {
-        obs.metrics.add("oracle.suite_compares");
-        obs.metrics.add(std::string("oracle.kill.") + to_string(out.with_model));
-        if (out.model_only()) obs.metrics.add("oracle.kill.model_only");
-    }
-    return out;
+    const DifferentialFold fold = fold_suite(golden, observed, config, manual);
+    fold.record(obs, true);
+    return fold.kill();
 }
 
 }  // namespace stc::oracle

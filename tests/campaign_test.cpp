@@ -3,6 +3,7 @@
 // serial/parallel determinism, resumability without re-execution, and
 // well-formed telemetry.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -23,6 +25,7 @@
 #include "stc/campaign/seed.h"
 #include "stc/campaign/telemetry.h"
 #include "stc/campaign/thread_pool.h"
+#include "stc/support/error.h"
 #include "test_component.h"
 
 namespace stc::campaign {
@@ -275,6 +278,67 @@ TEST(ResultStoreFile, RewriteSurvivesSigkillAtAnyInstant) {
     std::remove((path + ".tmp").c_str());
 }
 
+/// Caps the size of every file this process writes while alive, with
+/// SIGXFSZ ignored so a write past the cap fails (EFBIG) instead of
+/// killing the process: a full disk, reproducibly.
+class FileSizeCap {
+public:
+    explicit FileSizeCap(rlim_t bytes) : handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+        ::getrlimit(RLIMIT_FSIZE, &saved_);
+        rlimit capped = saved_;
+        capped.rlim_cur = bytes;
+        ::setrlimit(RLIMIT_FSIZE, &capped);
+    }
+    ~FileSizeCap() {
+        ::setrlimit(RLIMIT_FSIZE, &saved_);
+        std::signal(SIGXFSZ, handler_);
+    }
+    FileSizeCap(const FileSizeCap&) = delete;
+    FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+private:
+    rlimit saved_{};
+    void (*handler_)(int);
+};
+
+TEST(ResultStoreFile, FailedAppendIsStickyAndResumable) {
+    const std::string path = "/tmp/stc_store_full_" +
+                             std::to_string(getpid()) + ".jsonl";
+    std::remove(path.c_str());
+    const auto record = [](std::size_t i) {
+        ItemRecord r;
+        r.key = "k" + std::to_string(i);
+        r.mutant_id = "CObList::AddHead@s" + std::to_string(i);
+        r.item_index = i;
+        r.fate = "killed";
+        r.reason = "crash";
+        r.hit_by_suite = true;
+        return r;
+    };
+    {
+        ResultStore store(path, "fp-full");
+        const auto whole = std::filesystem::file_size(path) +
+                           record(0).to_json().to_line().size() + 1;
+        const FileSizeCap cap(whole + 10);
+        store.append(record(0));
+        EXPECT_FALSE(store.failed());
+        store.append(record(1));  // cut 10 bytes in
+        EXPECT_TRUE(store.failed());
+        const auto torn = std::filesystem::file_size(path);
+        EXPECT_EQ(torn, whole + 10);
+        store.append(record(2));
+        EXPECT_TRUE(store.failed());
+        EXPECT_EQ(std::filesystem::file_size(path), torn);
+    }
+    // Without the cap, a resume keeps the whole record and drops the
+    // torn one.
+    const ResultStore resumed(path, "fp-full");
+    EXPECT_EQ(resumed.loaded(), 1u);
+    EXPECT_EQ(resumed.dropped(), 1u);
+    EXPECT_NE(resumed.find("k0"), nullptr);
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------ thread pool
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
@@ -437,6 +501,31 @@ TEST_F(CampaignTest, ResumeSkipsEveryFinishedItem) {
     EXPECT_EQ(second.stats.resumed, mutants_.size());
     expect_same_outcomes(first.run, second.run);
     EXPECT_EQ(first.run.killed(), second.run.killed());
+}
+
+TEST_F(CampaignTest, StoreWriteFailureFailsTheRunNamingTheStore) {
+    const std::string store = "/tmp/stc_campaign_store_full_" +
+                              std::to_string(getpid()) + ".jsonl";
+    std::remove(store.c_str());
+    CampaignOptions options;
+    options.jobs = 2;
+    options.store_path = store;
+    {
+        const FileSizeCap cap(512);
+        try {
+            (void)run_campaign(options);
+            ADD_FAILURE() << "a campaign whose store lost records succeeded";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(store), std::string::npos)
+                << e.what();
+        }
+    }
+    // The cap gone, the same store resumes what reached it and finishes.
+    const CampaignResult resumed = run_campaign(options);
+    EXPECT_GT(resumed.stats.resumed, 0u);
+    EXPECT_GT(resumed.stats.executed, 0u);
+    EXPECT_EQ(resumed.stats.resumed + resumed.stats.executed, mutants_.size());
+    std::remove(store.c_str());
 }
 
 TEST_F(CampaignTest, InterruptedStoreResumesTheUnfinishedTail) {
@@ -608,8 +697,8 @@ TEST_F(CampaignTest, ObservabilityDoesNotChangeFatesAndRecordsSpans) {
         categories.insert(event.category);
     }
     for (const char* expected :
-         {"phase", "suite-run", "test-case", "method-call", "oracle-compare",
-          "mutant-evaluation"}) {
+         {"phase", "campaign", "suite-run", "test-case", "method-call",
+          "oracle-compare", "mutant-evaluation"}) {
         EXPECT_EQ(categories.count(expected), 1u) << expected;
     }
     // Invariant evaluations are a counter, not spans (they ran once per

@@ -703,6 +703,32 @@ TEST_F(CliTest, ServeAndDispatchPoliceTheirFlags) {
     EXPECT_EQ(run("campaign coblist stray-operand"), 2);
 }
 
+TEST_F(CliTest, WriteFailuresExitNonZeroNamingTheFile) {
+    const std::string tag = std::to_string(getpid());
+    const std::string out = "/tmp/stc_cli_write_fail_" + tag + ".out";
+    if (std::ifstream("/dev/full").good()) {
+        EXPECT_EQ(run("campaign coblist -o /dev/full", out), 1);
+        EXPECT_NE(slurp(out).find("cannot write output file: /dev/full"),
+                  std::string::npos)
+            << slurp(out);
+    }
+
+    // A file size limit cuts the result store mid-campaign; with SIGXFSZ
+    // ignored the append fails instead of killing the process.
+    const std::string store = "/tmp/stc_cli_write_fail_" + tag + ".jsonl";
+    std::remove(store.c_str());
+    const std::string cmd = "trap '' XFSZ; ulimit -f 8; " + binary_ +
+                            " campaign coblist --jobs 2 --resume " + store +
+                            " > " + out + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    EXPECT_EQ(status == -1 ? -1 : WEXITSTATUS(status), 1);
+    EXPECT_NE(slurp(out).find("cannot write result store: " + store),
+              std::string::npos)
+        << slurp(out);
+    std::remove(store.c_str());
+    std::remove(out.c_str());
+}
+
 TEST_F(CliTest, DispatchFailsCleanlyWhenNoWorkerIsReachable) {
     // Loopback port 1: connection refused.  The coordinator must report
     // the dead fleet as an error (exit 1), not hang or crash.

@@ -49,6 +49,17 @@ TEST(GoldenRecord, CapturesBaselineBehaviour) {
     EXPECT_EQ(golden.find("TC9"), nullptr);
 }
 
+TEST(GoldenRecord, PositionalFindChecksTheId) {
+    const auto golden = GoldenRecord::from(
+        make_suite({passing("TC0", "state-a"), passing("TC1", "state-b")}));
+    ASSERT_NE(golden.find(1, "TC1"), nullptr);
+    EXPECT_EQ(golden.find(1, "TC1"), &golden.entries()[1]);
+    // A position holding another case falls back to the lookup by id.
+    EXPECT_EQ(golden.find(0, "TC1"), &golden.entries()[1]);
+    EXPECT_EQ(golden.find(7, "TC0"), &golden.entries()[0]);
+    EXPECT_EQ(golden.find(1, "TC9"), nullptr);
+}
+
 TEST(GoldenRecord, AllPassedFalseWhenBaselineDirty) {
     const auto golden = GoldenRecord::from(
         make_suite({passing("TC0", "x"), failing("TC1", Verdict::Crash)}));
@@ -236,6 +247,74 @@ TEST(ClassifySuite, UnknownCasesAreIgnored) {
     const auto observed =
         make_suite({passing("TC0", "a"), failing("TC99", Verdict::Crash)});
     EXPECT_EQ(classify_suite(golden, observed), KillReason::None);
+}
+
+// ------------------------------------------------------ incremental fold
+
+/// A baseline with one crashing case, and an observed run touching every
+/// reason: model-only divergence, output diff, a crash the baseline also
+/// had (no kill), an assertion, a new crash, and a case after it.
+struct FoldFixture {
+    GoldenRecord golden = GoldenRecord::from(make_suite({
+        passing("TC0", "a"), passing("TC1", "b"), passing("TC2", "c"),
+        failing("TC3", Verdict::Crash), passing("TC4", "e"),
+        passing("TC5", "f"), passing("TC6", "g"),
+    }));
+    std::vector<TestResult> observed = {
+        passing("TC0", "a"),
+        diverging("TC1", "b", "call#2 AddTail: state"),
+        passing("TC2", "DIFFERENT"),
+        failing("TC3", Verdict::Crash),
+        failing("TC4", Verdict::AssertionViolation),
+        failing("TC5", Verdict::Crash),
+        diverging("TC6", "DIFFERENT", "call#1 AddHead: state"),
+    };
+};
+
+TEST(DifferentialFold, EveryPrefixMatchesTheSuiteClassifiers) {
+    const FoldFixture f;
+    OracleConfig no_model;
+    no_model.use_model = false;
+    OracleConfig no_crashes;
+    no_crashes.use_crashes = false;
+    OracleConfig no_output;
+    no_output.use_output_diff = false;
+    for (const OracleConfig& config : {OracleConfig{}, no_model, no_crashes, no_output}) {
+        DifferentialFold fold(config);
+        for (std::size_t k = 0; k <= f.observed.size(); ++k) {
+            if (k > 0) fold.add(f.golden.entries()[k - 1], f.observed[k - 1]);
+            const driver::SuiteResult prefix = make_suite(
+                {f.observed.begin(), f.observed.begin() + static_cast<long>(k)});
+            const DifferentialKill whole =
+                classify_suite_differential(f.golden, prefix, config);
+            EXPECT_EQ(fold.kill().with_model, whole.with_model) << k;
+            EXPECT_EQ(fold.kill().without_model, whole.without_model) << k;
+            EXPECT_EQ(fold.kill().model_only(), whole.model_only()) << k;
+            EXPECT_EQ(fold.kill().with_model, classify_suite(f.golden, prefix, config))
+                << k;
+        }
+    }
+}
+
+TEST(DifferentialFold, SaturatesAtTheFirstCrashKillOnly) {
+    const FoldFixture f;
+    DifferentialFold fold;
+    for (std::size_t i = 0; i < f.observed.size(); ++i) {
+        fold.add(f.golden.entries()[i], f.observed[i]);
+        // TC3 crashes like its baseline (no kill); TC5 is the first crash kill.
+        EXPECT_EQ(fold.saturated(), i >= 5) << i;
+    }
+    EXPECT_EQ(fold.kill().with_model, KillReason::Crash);
+    EXPECT_EQ(fold.kill().without_model, KillReason::Crash);
+
+    OracleConfig no_crashes;
+    no_crashes.use_crashes = false;
+    DifferentialFold blind(no_crashes);
+    for (std::size_t i = 0; i < f.observed.size(); ++i) {
+        blind.add(f.golden.entries()[i], f.observed[i]);
+        EXPECT_FALSE(blind.saturated()) << i;
+    }
+    EXPECT_EQ(blind.kill().with_model, KillReason::Assertion);
 }
 
 TEST(KillReasonNames, AreStable) {

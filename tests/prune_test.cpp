@@ -16,8 +16,10 @@
 
 #include "stc/campaign/jsonl.h"
 #include "stc/campaign/scheduler.h"
+#include "stc/campaign/session.h"
 #include "stc/core/self_testable.h"
 #include "stc/mfc/component.h"
+#include "stc/model/model.h"
 #include "stc/mutation/coverage.h"
 #include "stc/mutation/engine.h"
 #include "stc/mutation/prune.h"
@@ -438,45 +440,195 @@ TEST_F(PruneTest, PrunedStoreIsNotResumedUnpruned) {
     EXPECT_EQ(third.stats.executed, mutants_.size());
 }
 
-// The real component: CObList has pointer-valued arguments (checkpoint
+// The real components: CObList has pointer-valued arguments (checkpoint
 // signatures must be identity-exact) and a mixed instrumented /
 // uninstrumented method population — the closest in-tree stand-in for
-// the paper's production component.
+// the paper's production component — and CSortableObList is the
+// sparse-coverage Experiment 1 subject.  With the lockstep model and a
+// probe suite every leg the stop rule cuts (suite, model, probe) runs.
 TEST(PruneCObList, PrunedCampaignMatchesUnprunedOnTheRealComponent) {
-    mfc::ElementPool pool;
-    core::SelfTestableComponent component(mfc::coblist_spec(),
-                                          mfc::coblist_binding());
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component.set_completions(completions);
-    driver::GeneratorOptions generator;
-    generator.seed = 7;
-    const driver::TestSuite suite = component.generate_tests(generator);
-    const auto mutants =
-        enumerate_mutants(mfc::descriptors(), suite.class_name);
-    ASSERT_FALSE(mutants.empty());
-
-    auto run_campaign = [&](bool prune, std::size_t jobs) {
-        campaign::CampaignOptions options;
-        options.seed = generator.seed;
-        options.prune = prune;
-        options.jobs = jobs;
-        const campaign::CampaignScheduler scheduler(component.registry(),
-                                                    options);
-        return scheduler.run(suite, mutants, nullptr);
+    struct Input {
+        bool sortable;
+        bool model;
+        bool probe;
     };
+    for (const Input input : {Input{false, false, false}, Input{false, true, true},
+                              Input{true, false, true}}) {
+        SCOPED_TRACE(std::string(input.sortable ? "sortable" : "coblist") +
+                     (input.model ? " --model" : "") +
+                     (input.probe ? " --probe" : ""));
+        mfc::ElementPool pool;
+        core::SelfTestableComponent component(
+            input.sortable ? mfc::sortable_spec() : mfc::coblist_spec(),
+            input.sortable ? mfc::sortable_binding() : mfc::coblist_binding());
+        const driver::CompletionRegistry completions = mfc::make_completions(pool);
+        component.set_completions(completions);
+        driver::GeneratorOptions generator;
+        generator.seed = 7;
+        const driver::TestSuite suite = component.generate_tests(generator);
+        driver::TestSuite probe;
+        if (input.probe) {
+            probe = component.generate_tests(campaign::probe_generator(generator));
+        }
+        const auto mutants =
+            enumerate_mutants(mfc::descriptors(), suite.class_name);
+        ASSERT_FALSE(mutants.empty());
 
-    const campaign::CampaignResult baseline = run_campaign(false, 2);
-    const campaign::CampaignResult pruned = run_campaign(true, 2);
-    expect_same_outcomes(baseline.run, pruned.run);
-    EXPECT_EQ(render(baseline, suite), render(pruned, suite));
-    EXPECT_TRUE(pruned.stats.pruned);
-    // Strictly fewer executed pairs, and full accounting: every
-    // (mutant, case) pair is either executed or pruned.
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(mutants.size()) * suite.size();
-    EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs, total);
-    EXPECT_LT(pruned.stats.executed_pairs, total);
-    EXPECT_GT(pruned.stats.pruned_pairs, 0u);
+        auto run_campaign = [&](bool prune, std::size_t jobs) {
+            campaign::CampaignOptions options;
+            options.seed = generator.seed;
+            options.prune = prune;
+            options.jobs = jobs;
+            if (input.model) {
+                options.engine.runner.model = model::binding_for(suite.class_name);
+            }
+            const campaign::CampaignScheduler scheduler(component.registry(),
+                                                        options);
+            return scheduler.run(suite, mutants, input.probe ? &probe : nullptr);
+        };
+
+        const campaign::CampaignResult baseline = run_campaign(false, 2);
+        const campaign::CampaignResult pruned = run_campaign(true, 2);
+        expect_same_outcomes(baseline.run, pruned.run);
+        for (std::size_t i = 0; i < baseline.run.outcomes.size(); ++i) {
+            EXPECT_EQ(baseline.run.outcomes[i].model_only,
+                      pruned.run.outcomes[i].model_only)
+                << i;
+        }
+        EXPECT_EQ(render(baseline, suite), render(pruned, suite));
+        EXPECT_TRUE(pruned.stats.pruned);
+        // Strictly fewer executed pairs, and full accounting: each leg's
+        // (mutant, case) pairs are either executed or pruned, the probe
+        // leg running for every mutant the suite did not kill.
+        const std::uint64_t total =
+            static_cast<std::uint64_t>(mutants.size()) * suite.size() +
+            static_cast<std::uint64_t>(mutants.size() - pruned.run.killed()) *
+                probe.size();
+        EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs, total);
+        EXPECT_LT(pruned.stats.executed_pairs, total);
+        EXPECT_GT(pruned.stats.pruned_pairs, 0u);
+    }
+}
+
+/// The CObList campaign pieces the evaluator-level tests share: suite,
+/// probe suite, mutants, runners and their recorded coverage.
+class PruneRealComponent : public ::testing::Test {
+protected:
+    PruneRealComponent()
+        : component_(mfc::coblist_spec(), mfc::coblist_binding()),
+          completions_(mfc::make_completions(pool_)) {
+        component_.set_completions(completions_);
+        driver::GeneratorOptions generator;
+        generator.seed = 7;
+        suite_ = component_.generate_tests(generator);
+        probe_ = component_.generate_tests(campaign::probe_generator(generator));
+        mutants_ = enumerate_mutants(mfc::descriptors(), suite_.class_name);
+    }
+
+    [[nodiscard]] const reflect::Registry& registry() const {
+        return component_.registry();
+    }
+    [[nodiscard]] const reflect::ClassBinding& binding() const {
+        return registry().at(suite_.class_name);
+    }
+
+    mfc::ElementPool pool_;
+    core::SelfTestableComponent component_;
+    driver::CompletionRegistry completions_;
+    driver::TestSuite suite_;
+    driver::TestSuite probe_;
+    std::vector<Mutant> mutants_;
+};
+
+TEST_F(PruneRealComponent, PostingsInvertTheCoverageIndex) {
+    driver::RunnerOptions probe_options;
+    probe_options.observe_each_call = true;
+    const CoveredRun covered = run_with_coverage(registry(), {}, suite_);
+    const CoveredRun probe_covered =
+        run_with_coverage(registry(), probe_options, probe_);
+    const driver::TestRunner runner(registry(), {});
+    const driver::TestRunner probe_runner(registry(), probe_options);
+    const PrunePlan plan =
+        build_prune_plan(runner, binding(), suite_, covered.index, &probe_runner,
+                         &probe_, probe_covered.index);
+
+    // Every mutant's postings list exactly the cases first_hit knows,
+    // in suite order, with first_hit's call index.
+    using Pairs = std::vector<std::pair<std::size_t, std::size_t>>;
+    const auto expected = [](const CoverageIndex& index,
+                             const driver::TestSuite& suite, const Mutant& m) {
+        Pairs out;
+        for (std::size_t i = 0; i < suite.cases.size(); ++i) {
+            if (const auto hit = index.first_hit(suite.cases[i].id, m)) {
+                out.emplace_back(i, *hit);
+            }
+        }
+        return out;
+    };
+    const auto actual = [](const SitePostings& postings, const Mutant& m) {
+        Pairs out;
+        for (const SitePosting& p : postings.of(m)) {
+            out.emplace_back(p.case_index, p.first_hit);
+        }
+        return out;
+    };
+    std::size_t reached = 0;
+    for (const Mutant& mutant : mutants_) {
+        EXPECT_EQ(actual(plan.postings, mutant),
+                  expected(covered.index, suite_, mutant))
+            << mutant.id();
+        EXPECT_EQ(actual(plan.probe_postings, mutant),
+                  expected(probe_covered.index, probe_, mutant))
+            << mutant.id();
+        reached += plan.postings.of(mutant).empty() ? 0 : 1;
+    }
+    EXPECT_GT(reached, 0u);
+}
+
+TEST_F(PruneRealComponent, FirstCrashKillEndsTheSuiteLeg) {
+    // A mutant whose first covering case crashes where the golden run
+    // did not: no later case can change its fate (Crash is the
+    // strongest reason, and the crash proves the site was reached), so
+    // the evaluator runs that one case and counts the rest as pruned.
+    const driver::TestRunner runner(registry(), {});
+    const CoveredRun covered = run_with_coverage(registry(), {}, suite_);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    const PrunePlan plan = build_prune_plan(runner, binding(), suite_,
+                                            covered.index, nullptr, nullptr, {});
+    const EngineOptions options;
+
+    std::size_t checked = 0;
+    for (const Mutant& mutant : mutants_) {
+        const std::vector<SitePosting>& covering = plan.postings.of(mutant);
+        if (covering.size() < 2) continue;
+        const driver::TestCase& first = suite_.cases[covering.front().case_index];
+        driver::TestResult result;
+        {
+            const MutantActivation activation(mutant);
+            result = runner.run_case(binding(), first);
+        }
+        const oracle::GoldenEntry* entry = golden.find(first.id);
+        ASSERT_NE(entry, nullptr);
+        if (oracle::classify(*entry, result) != oracle::KillReason::Crash) continue;
+        ++checked;
+
+        PruneStats stats;
+        const MutantOutcome pruned =
+            evaluate_mutant_pruned(mutant, runner, binding(), suite_, golden,
+                                   nullptr, nullptr, {}, plan, options, &stats);
+        EXPECT_EQ(stats.executed_pairs, 1u) << mutant.id();
+        EXPECT_EQ(stats.pruned_pairs, suite_.size() - 1) << mutant.id();
+        EXPECT_EQ(pruned.fate, MutantFate::Killed) << mutant.id();
+        EXPECT_EQ(pruned.reason, oracle::KillReason::Crash) << mutant.id();
+        EXPECT_TRUE(pruned.hit_by_suite) << mutant.id();
+
+        const MutantOutcome full = evaluate_mutant(
+            mutant, [&] { return runner.run(suite_); }, golden, {}, {}, options);
+        EXPECT_EQ(full.fate, pruned.fate) << mutant.id();
+        EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
+        EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -128,6 +130,66 @@ SessionFactory sleepy_factory(std::chrono::milliseconds per_item) {
     };
 }
 
+/// Holds the toy workers' answers until the coordinator has settled
+/// every worker's handshake (one worker-connect or worker-disconnect
+/// event each).  A toy session answers in microseconds, so without the
+/// gate the first worker through its handshake can take every item —
+/// its own shard, then the rest by stealing — before the coordinator
+/// reads the other's HelloAck: the other then never connects, is never
+/// rejected, or never gets work.
+class HandshakeGate {
+public:
+    explicit HandshakeGate(std::size_t workers) : workers_(workers) {}
+
+    /// DispatchOptions::telemetry hook (coordinator thread).
+    void observe(const obs::JsonObject& event) {
+        const std::string kind = event.get_string("event").value_or("");
+        const auto worker = event.get_uint("worker");
+        if ((kind != "worker-connect" && kind != "worker-disconnect") ||
+            !worker) {
+            return;
+        }
+        const std::lock_guard<std::mutex> lock(mutex_);
+        settled_.insert(*worker);
+        if (settled_.size() >= workers_) open_.notify_all();
+    }
+
+    /// Block until every handshake settled (worker threads).  Bounded,
+    /// so a coordinator that never settles one fails the test's own
+    /// assertions instead of hanging it.
+    void wait() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        open_.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return settled_.size() >= workers_; });
+    }
+
+private:
+    std::size_t workers_;
+    std::mutex mutex_;
+    std::condition_variable open_;
+    std::set<std::uint64_t> settled_;
+};
+
+/// A toy_factory whose sessions answer only once `gate` opens.
+SessionFactory gated_factory(HandshakeGate& gate) {
+    return [&gate](const obs::JsonObject&, const obs::Context&,
+                   std::string*) -> std::unique_ptr<Session> {
+        class Gated : public ToySession {
+        public:
+            explicit Gated(HandshakeGate& gate)
+                : ToySession("toy-fp"), gate_(gate) {}
+            obs::JsonObject evaluate(const obs::JsonObject& work) override {
+                gate_.wait();
+                return ToySession::evaluate(work);
+            }
+
+        private:
+            HandshakeGate& gate_;
+        };
+        return std::make_unique<Gated>(gate);
+    };
+}
+
 /// The next message on `fd`, or nullopt once the peer hung up.
 std::optional<wire::Message> next_message(int fd, wire::Decoder& decoder) {
     for (;;) {
@@ -213,12 +275,15 @@ TEST(ServeEndpoint, ParseFormsAndErrors) {
 // ------------------------------------------------------------- dispatch
 
 TEST(ServeDispatch, TwoWorkersCompleteEveryItemExactlyOnce) {
-    DaemonHandle d1(toy_factory("toy-fp"));
-    DaemonHandle d2(toy_factory("toy-fp"));
+    HandshakeGate gate(2);
+    DaemonHandle d1(gated_factory(gate));
+    DaemonHandle d2(gated_factory(gate));
 
     const auto items = toy_items(10);
     std::map<std::size_t, std::uint64_t> answers;
-    Coordinator coordinator(toy_dispatch({d1.endpoint(), d2.endpoint()}));
+    DispatchOptions options = toy_dispatch({d1.endpoint(), d2.endpoint()});
+    options.telemetry = [&](const obs::JsonObject& e) { gate.observe(e); };
+    Coordinator coordinator(std::move(options));
     const DispatchStats stats = coordinator.run(
         items, [&](const campaign::WorkItem& item,
                    const obs::JsonObject& result) {
@@ -296,7 +361,8 @@ TEST(ServeDispatch, FingerprintMismatchMeansNoUsableWorkers) {
 }
 
 TEST(ServeDispatch, HandshakeRejectionFallsBackToSurvivor) {
-    DaemonHandle good(toy_factory("toy-fp"));
+    HandshakeGate gate(2);
+    DaemonHandle good(gated_factory(gate));
     DaemonHandle bad([](const obs::JsonObject&, const obs::Context&,
                         std::string* error) -> std::unique_ptr<Session> {
         *error = "unknown component";
@@ -304,7 +370,9 @@ TEST(ServeDispatch, HandshakeRejectionFallsBackToSurvivor) {
     });
 
     std::size_t merged = 0;
-    Coordinator coordinator(toy_dispatch({good.endpoint(), bad.endpoint()}));
+    DispatchOptions options = toy_dispatch({good.endpoint(), bad.endpoint()});
+    options.telemetry = [&](const obs::JsonObject& e) { gate.observe(e); };
+    Coordinator coordinator(std::move(options));
     const DispatchStats stats = coordinator.run(
         toy_items(6),
         [&](const campaign::WorkItem&, const obs::JsonObject&) { ++merged; });
@@ -327,7 +395,8 @@ TEST(ServeDispatch, UnreachableEndpointFallsBackToSurvivor) {
 }
 
 TEST(ServeDispatch, MidCampaignDeathRedispatchesToSurvivor) {
-    DaemonHandle steady(toy_factory("toy-fp"));
+    HandshakeGate gate(2);
+    DaemonHandle steady(gated_factory(gate));
     // This daemon's session dies (Error frame, session torn down) on its
     // second item — after real work was assigned to it.
     DaemonHandle flaky([](const obs::JsonObject&, const obs::Context&,
@@ -348,8 +417,10 @@ TEST(ServeDispatch, MidCampaignDeathRedispatchesToSurvivor) {
 
     const auto items = toy_items(12);
     std::map<std::size_t, std::uint64_t> answers;
-    Coordinator coordinator(
-        toy_dispatch({steady.endpoint(), flaky.endpoint()}));
+    DispatchOptions options =
+        toy_dispatch({steady.endpoint(), flaky.endpoint()});
+    options.telemetry = [&](const obs::JsonObject& e) { gate.observe(e); };
+    Coordinator coordinator(std::move(options));
     const DispatchStats stats = coordinator.run(
         items, [&](const campaign::WorkItem& item,
                    const obs::JsonObject& result) {
@@ -365,7 +436,8 @@ TEST(ServeDispatch, MidCampaignDeathRedispatchesToSurvivor) {
 }
 
 TEST(ServeDispatch, SilentWorkerIsDeclaredDeadByKeepalive) {
-    DaemonHandle steady(toy_factory("toy-fp"));
+    HandshakeGate gate(2);
+    DaemonHandle steady(gated_factory(gate));
     // This worker accepts the handshake, then stalls far past the
     // dead-after deadline on its first item.  The coordinator must not
     // wait for it: keepalive declares it dead and the survivor finishes.
@@ -386,6 +458,7 @@ TEST(ServeDispatch, SilentWorkerIsDeclaredDeadByKeepalive) {
         toy_dispatch({steady.endpoint(), stalled.endpoint()});
     options.keepalive_ms = 50;
     options.dead_after_ms = 250;
+    options.telemetry = [&](const obs::JsonObject& e) { gate.observe(e); };
 
     std::map<std::size_t, std::uint64_t> answers;
     Coordinator coordinator(std::move(options));
@@ -563,11 +636,13 @@ TEST(ServeDispatch, IdleWorkerTakesUnsentItemsFromASlowOne) {
 TEST(ServeDispatch, WedgedWorkerDoesNotStarveTheShutdownDrain) {
     // Ordinal 0 answers its Work but never closes after Shutdown, so
     // only the coordinator's 2 s drain bound ends its session.
-    RawWorker wedged([](int fd) {
+    HandshakeGate gate(2);
+    RawWorker wedged([&gate](int fd) {
         wire::Decoder decoder;
         if (!accept_hello(fd, decoder)) return;
         while (const auto message = next_message(fd, decoder)) {
             if (message->type == wire::MessageType::Work) {
+                gate.wait();
                 const auto work = obs::JsonObject::parse(message->payload);
                 (void)wire::write_message(
                     fd, wire::MessageType::Result,
@@ -578,13 +653,14 @@ TEST(ServeDispatch, WedgedWorkerDoesNotStarveTheShutdownDrain) {
             }
         }
     });
-    DaemonHandle healthy(toy_factory("toy-fp"));
+    DaemonHandle healthy(gated_factory(gate));
 
     DispatchOptions options =
         toy_dispatch({wedged.endpoint(), healthy.endpoint()});
     options.stream_telemetry = true;
     std::vector<obs::JsonObject> events;
     options.telemetry = [&](const obs::JsonObject& event) {
+        gate.observe(event);
         events.push_back(event);
     };
     Coordinator coordinator(std::move(options));

@@ -619,8 +619,9 @@ std::string read_file(const std::string& path) {
 int emit(const Options& options, const std::string& text) {
     if (options.output_path) {
         std::ofstream out(*options.output_path);
-        if (!out) throw Error("cannot write output file: " + *options.output_path);
         out << text;
+        out.flush();
+        if (!out) throw Error("cannot write output file: " + *options.output_path);
         std::cout << "wrote " << text.size() << " bytes to " << *options.output_path
                   << "\n";
     } else {
