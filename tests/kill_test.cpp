@@ -153,6 +153,44 @@ TEST_F(KillSearchTest, BudgetExhaustionIsDeterministic) {
     EXPECT_EQ(first.stats.states_expanded, options.budget_states);
 }
 
+// Search effort at default options.  The values were recorded from the
+// search that re-ran every candidate from its constructor; a faster way
+// of executing candidates may drop executed calls but must not move the
+// outcome or any counter.
+TEST_F(KillSearchTest, DefaultSearchEffortIsPinned) {
+    struct Pin {
+        const char* mutant;
+        kill::SearchStatus status;
+        oracle::KillReason reason;
+        bool widened;
+        std::size_t killer_calls;
+        kill::SearchStats stats;
+    };
+    const Pin pins[] = {
+        {kKillableA, kill::SearchStatus::Verified,
+         oracle::KillReason::Assertion, true, 7, {285, 194, 71, 47, 1}},
+        {kKillableB, kill::SearchStatus::Verified,
+         oracle::KillReason::Assertion, true, 6, {202, 133, 51, 31, 1}},
+        {kStubborn, kill::SearchStatus::BudgetExhausted,
+         oracle::KillReason::None, false, 0, {4096, 4682, 22, 22, 1}},
+    };
+    const kill::ProductSearch search = make_search(search_options());
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(pin.mutant);
+        const kill::SearchOutcome outcome = search.find_killer(mutant(pin.mutant));
+        EXPECT_EQ(outcome.status, pin.status);
+        EXPECT_EQ(outcome.reason, pin.reason);
+        EXPECT_EQ(outcome.widened, pin.widened);
+        EXPECT_EQ(outcome.killer.calls.size(), pin.killer_calls);
+        EXPECT_EQ(outcome.stats.states_expanded, pin.stats.states_expanded);
+        EXPECT_EQ(outcome.stats.candidates_executed,
+                  pin.stats.candidates_executed);
+        EXPECT_EQ(outcome.stats.arming_checks, pin.stats.arming_checks);
+        EXPECT_EQ(outcome.stats.armed_states, pin.stats.armed_states);
+        EXPECT_EQ(outcome.stats.rounds, pin.stats.rounds);
+    }
+}
+
 TEST_F(KillSearchTest, SpecificationGraphCoversTheWholeAlphabet) {
     const tfm::Graph graph =
         kill::ProductSearch::specification_graph(component_.spec());
