@@ -68,6 +68,15 @@ public:
     /// the same format the paired ModelBinding::project produces for
     /// the live object (e.g. "count=2 [CInt(3), CInt(7)]").
     [[nodiscard]] virtual std::string abstract_state() const = 0;
+
+    /// Snapshot of this instance: a deep, independent copy that predicts
+    /// exactly what this one would from here on.  Applying calls to
+    /// either copy never changes the other's abstract_state(), and
+    /// cloning is deterministic (equal sources give equal clones).
+    /// Checkpoints (runner.h CaseCheckpoint) carry one, so a resumed run
+    /// keeps its lockstep compares; the kill search advances clones of
+    /// its parent state's model instead of replaying from construction.
+    [[nodiscard]] virtual std::unique_ptr<LockstepModel> clone() const = 0;
 };
 
 /// How a runner binds a reference model to a class under test.

@@ -112,16 +112,23 @@ protected:
 };
 
 /// Snapshot of a test case's execution front just before body call
-/// `resume_call`: a behavioural copy of the CUT plus the observation
-/// stream accumulated so far.  Produced by TestRunner::capture_case on
-/// the un-mutated component; consumed by run_case_from, which replays
-/// only the suffix.  Sharing one checkpoint across every case with an
-/// identical birth prefix is the campaign's shared-prefix memoization
-/// (stc/mutation/prune.h).
+/// `resume_call`: a behavioural copy of the CUT, the observation stream
+/// accumulated so far, and the lockstep model's state.  Produced by
+/// TestRunner::capture_case on the un-mutated component; consumed by
+/// run_case_from, which replays only the suffix.  Sharing one checkpoint
+/// across every case with an identical birth prefix is the campaign's
+/// shared-prefix memoization (stc/mutation/prune.h); the kill search
+/// keeps one per frontier state (stc/kill/search.h).
 struct CaseCheckpoint {
     std::size_t resume_call = 0;
     std::shared_ptr<void> prototype;  ///< destroyed through the class binding
     std::string observations;         ///< observation log up to resume_call
+    /// Lockstep model state at resume_call: a clone of the model while it
+    /// is still engaged, null when none is attached or it disengaged
+    /// (an unmodeled call, or after the first divergence).
+    std::shared_ptr<const LockstepModel> model;
+    std::string model_divergence;  ///< first divergence before resume_call
+    std::string diverged_method;   ///< the call that diverged, rendered
 };
 
 struct RunnerOptions {
@@ -149,9 +156,10 @@ struct RunnerOptions {
     /// default at near-zero cost; safe to share across runner copies on
     /// worker threads.
     obs::Context obs;
-    /// Per-call progress hook for coverage capture.  Fires only on full
-    /// runs (never on run_case_from resumes).  Non-owning; must outlive
-    /// the runner.
+    /// Per-call progress hook for coverage capture.  A run_case_from
+    /// resume fires on_case_begin and then on_call for the calls it
+    /// executes only (resume_call onwards).  Non-owning; must outlive the
+    /// runner.
     CaseObserver* observer = nullptr;
 };
 
@@ -166,22 +174,37 @@ public:
 
     /// Run `test_case` un-mutated, capturing a CaseCheckpoint just before
     /// each body call index in `boundaries` (sorted ascending, each in
-    /// [1, calls.size())).  Capture stops early when the case fails, a
-    /// boundary lies past an explicit destructor, or a clone refuses; the
-    /// returned vector holds whatever was captured.  Returns empty when
-    /// the class has no cloner.
+    /// [1, calls.size()]; calls.size() is the implicit wrap-up).  Capture
+    /// stops early when the case fails, a boundary lies past an explicit
+    /// destructor, or a clone refuses; the returned vector holds whatever
+    /// was captured.  Returns empty when the class has no cloner.
     [[nodiscard]] std::vector<CaseCheckpoint> capture_case(
         const reflect::ClassBinding& binding, const TestCase& test_case,
         const std::vector<std::size_t>& boundaries) const;
 
-    /// Replay only the suffix of `test_case` from `checkpoint`.  The
-    /// result is byte-identical to run_case whenever execution up to
+    /// capture_case and run_case in one execution: the result of the run
+    /// plus the checkpoints it captured.  With `from`, execution resumes
+    /// there as in run_case_from (boundaries then lie past its
+    /// resume_call).
+    struct CapturedRun {
+        TestResult result;
+        std::vector<CaseCheckpoint> checkpoints;
+    };
+    [[nodiscard]] CapturedRun run_and_capture(
+        const reflect::ClassBinding& binding, const TestCase& test_case,
+        const std::vector<std::size_t>& boundaries,
+        const CaseCheckpoint* from = nullptr) const;
+
+    /// Replay only the suffix of `test_case` from `checkpoint`; only
+    /// calls[checkpoint.resume_call..] are read.  The result is
+    /// byte-identical to run_case whenever execution up to
     /// checkpoint.resume_call is equivalent to the capture run — the
     /// pruned campaign evaluator guarantees that through the coverage
     /// index (no mutation site of the active mutant is consulted before
-    /// resume_call).  No model lockstep runs (callers gate memoization
-    /// off when a model is attached).  A clone failure propagates as
-    /// ReflectError: callers fall back to a full run_case.
+    /// resume_call).  The model lockstep continues from the checkpoint's
+    /// model state, so a checkpoint captured with the same RunnerOptions
+    /// gives the same model_divergence as a full run.  A clone failure
+    /// propagates as ReflectError: callers fall back to a full run_case.
     [[nodiscard]] TestResult run_case_from(
         const reflect::ClassBinding& binding, const TestCase& test_case,
         const CaseCheckpoint& checkpoint) const;

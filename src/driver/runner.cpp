@@ -120,6 +120,16 @@ std::vector<CaseCheckpoint> TestRunner::capture_case(
     return out;
 }
 
+TestRunner::CapturedRun TestRunner::run_and_capture(
+    const reflect::ClassBinding& binding, const TestCase& test_case,
+    const std::vector<std::size_t>& boundaries,
+    const CaseCheckpoint* from) const {
+    CapturedRun out;
+    out.result = run_case_impl(binding, test_case, from, &boundaries,
+                               &out.checkpoints);
+    return out;
+}
+
 TestResult TestRunner::run_case_from(const reflect::ClassBinding& binding,
                                      const TestCase& test_case,
                                      const CaseCheckpoint& checkpoint) const {
@@ -180,8 +190,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         check_invariant(binding, object);
     };
 
-    CaseObserver* const observer =
-        resume == nullptr ? options_.observer : nullptr;
+    CaseObserver* const observer = options_.observer;
     if (observer != nullptr) observer->on_case_begin(test_case);
 
     // --- Construction (or checkpoint resume) -------------------------------
@@ -232,11 +241,12 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     CutGuard cut(binding, raw);
 
     // --- Lockstep reference model (differential oracle seam) ---------------
-    // Mirrors every successful call into a fresh model instance and
-    // records the first disagreement.  Strictly read-only on the CUT:
-    // the projection uses uninstrumented const accessors only, so the
-    // live run (verdicts, reports, mutation hits) is byte-identical
-    // with or without a model attached.
+    // Mirrors every successful call into a fresh model instance (or, on a
+    // resume, a clone of the checkpoint's) and records the first
+    // disagreement.  Strictly read-only on the CUT: the projection uses
+    // uninstrumented const accessors only, so the live run (verdicts,
+    // reports, mutation hits) is byte-identical with or without a model
+    // attached.
     std::unique_ptr<LockstepModel> model;
     bool model_engaged = false;
     std::string diverged_method;
@@ -260,8 +270,19 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             model_diverge(method, call_index, "state", predicted, live);
         }
     };
-    if (resume == nullptr && options_.model != nullptr &&
-        options_.model->valid()) {
+    const bool modeled = options_.model != nullptr && options_.model->valid();
+    if (resume != nullptr) {
+        result.model_divergence = resume->model_divergence;
+        diverged_method = resume->diverged_method;
+        if (modeled && resume->model != nullptr) {
+            try {
+                model = resume->model->clone();
+                model_engaged = model != nullptr;
+            } catch (...) {
+                model_engaged = false;
+            }
+        }
+    } else if (modeled) {
         try {
             model = options_.model->factory();
             model_engaged =
@@ -313,30 +334,46 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     }
 
     // --- Checkpoint capture (prefix memoization producer) ------------------
-    // A checkpoint at boundary k snapshots the CUT and observation stream
-    // *before* body call k executes.  Cloning happens with no mutant
-    // active; a refusal stops further capture (suffix runs stay full).
+    // A checkpoint at boundary k snapshots the CUT, the observation stream
+    // and the lockstep model *before* body call k executes.  Cloning
+    // happens with no mutant active; a refusal stops further capture
+    // (suffix runs stay full).
     std::size_t next_boundary = 0;
     bool capturing = captured != nullptr && boundaries != nullptr;
     auto snapshot = [&](std::size_t call_index) -> bool {
         if (!cut.alive()) return false;
-        void* copy = nullptr;
+        CaseCheckpoint checkpoint;
+        checkpoint.resume_call = call_index;
         try {
-            copy = binding.clone(cut.get());
+            checkpoint.prototype = std::shared_ptr<void>(
+                binding.clone(cut.get()), [b = &binding](void* p) {
+                    try {
+                        b->destroy(p);
+                    } catch (...) {
+                    }
+                });
+            if (model_engaged) checkpoint.model = model->clone();
         } catch (...) {
             return false;
         }
-        captured->push_back(CaseCheckpoint{
-            call_index,
-            std::shared_ptr<void>(copy,
-                                  [b = &binding](void* p) {
-                                      try {
-                                          b->destroy(p);
-                                      } catch (...) {
-                                      }
-                                  }),
-            observations.str()});
+        checkpoint.observations = observations.str();
+        checkpoint.model_divergence = result.model_divergence;
+        checkpoint.diverged_method = diverged_method;
+        captured->push_back(std::move(checkpoint));
         return true;
+    };
+    // Boundaries are visited in order; the one at `call_index`, if any,
+    // is captured.  A boundary at calls.size() is the implicit wrap-up.
+    auto capture_at = [&](std::size_t call_index) {
+        while (next_boundary < boundaries->size() &&
+               (*boundaries)[next_boundary] < call_index) {
+            ++next_boundary;
+        }
+        if (next_boundary < boundaries->size() &&
+            (*boundaries)[next_boundary] == call_index) {
+            capturing = snapshot(call_index);
+            ++next_boundary;
+        }
     };
 
     // --- Body: methods along the transaction, invariant around each -------
@@ -345,17 +382,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             resume != nullptr ? resume->resume_call : 1;
         for (std::size_t i = first_call; i < test_case.calls.size(); ++i) {
             if (observer != nullptr) observer->on_call(i);
-            if (capturing) {
-                while (next_boundary < boundaries->size() &&
-                       (*boundaries)[next_boundary] < i) {
-                    ++next_boundary;
-                }
-                if (next_boundary < boundaries->size() &&
-                    (*boundaries)[next_boundary] == i) {
-                    capturing = snapshot(i);
-                    ++next_boundary;
-                }
-            }
+            if (capturing) capture_at(i);
             const MethodCall& call = test_case.calls[i];
             current_method = call.render();
             options_.obs.metrics.add("runner.method_calls");
@@ -446,6 +473,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                 if (observer != nullptr) {
                     observer->on_call(test_case.calls.size());
                 }
+                if (capturing) capture_at(test_case.calls.size());
                 if (options_.capture_reports) {
                     state_report = capture_state(binding, cut.get());
                 }

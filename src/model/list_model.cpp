@@ -175,6 +175,11 @@ public:
         return render_abstraction(elements_.size(), rendered);
     }
 
+    [[nodiscard]] std::unique_ptr<driver::LockstepModel> clone() const override {
+        // Element pointers are shared on purpose: the pool owns them.
+        return std::make_unique<ListModel>(*this);
+    }
+
 private:
     static driver::ModelPrediction predict(std::string rendered) {
         return driver::ModelPrediction{true, true, std::move(rendered)};

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "stc/mfc/component.h"
 #include "stc/model/model.h"
 #include "stc/mutation/controller.h"
+#include "stc/mutation/coverage.h"
+#include "stc/mutation/descriptor.h"
 #include "stc/mutation/mutant.h"
 #include "stc/oracle/oracle.h"
 
@@ -110,6 +113,26 @@ TEST_F(ListModelFixture, SortsAndExtremaFollowTheSpecifiedOrder) {
     EXPECT_FALSE(sorted.has_return);
     EXPECT_EQ(model_->abstract_state(),
               "count=3 [CInt(1), CInt(3), CInt(7)]");
+}
+
+TEST_F(ListModelFixture, CloneIsADeepIndependentCopy) {
+    (void)model_->apply(add("AddTail", three_));
+    (void)model_->apply(add("AddTail", seven_));
+    const std::string before = model_->abstract_state();
+
+    const std::unique_ptr<driver::LockstepModel> copy = model_->clone();
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(copy->abstract_state(), before);
+    // Mutating the clone leaves its source where it was...
+    EXPECT_EQ(copy->apply(call("RemoveHead")).rendered_return, "CInt(3)");
+    (void)copy->apply(add("AddHead", one_));
+    (void)copy->apply(call("Sort1"));
+    EXPECT_EQ(copy->abstract_state(), "count=2 [CInt(1), CInt(7)]");
+    EXPECT_EQ(model_->abstract_state(), before);
+    // ...and the source still predicts as if no clone had been taken.
+    EXPECT_EQ(model_->apply(call("RemoveTail")).rendered_return, "CInt(7)");
+    EXPECT_EQ(model_->abstract_state(), "count=1 [CInt(3)]");
+    EXPECT_EQ(copy->abstract_state(), "count=2 [CInt(1), CInt(7)]");
 }
 
 TEST_F(ListModelFixture, UnknownCallsDisengageInsteadOfDiverging) {
@@ -248,6 +271,123 @@ TEST_F(LockstepFixture, DifferentialClassificationIsModelOnly) {
     EXPECT_EQ(kill.with_model, oracle::KillReason::ModelDivergence);
     EXPECT_EQ(kill.without_model, oracle::KillReason::None);
     EXPECT_TRUE(kill.model_only());
+}
+
+// ------------------------------------------------------ checkpoint resume
+//
+// TestRunner::run_case_from is the one way the campaign's memoization and
+// the kill search skip executed calls, so its contract is pinned here
+// directly: from a checkpoint captured at boundary k, a resumed run gives
+// the full run's result field for field (model lockstep included), and an
+// observer sees exactly the calls from k on.
+
+void expect_same_result(const driver::TestResult& resumed,
+                        const driver::TestResult& full, std::size_t k) {
+    SCOPED_TRACE("resumed at call " + std::to_string(k));
+    EXPECT_EQ(resumed.case_id, full.case_id);
+    EXPECT_EQ(resumed.verdict, full.verdict);
+    EXPECT_EQ(resumed.message, full.message);
+    EXPECT_EQ(resumed.failed_method, full.failed_method);
+    EXPECT_EQ(resumed.assertion_kind, full.assertion_kind);
+    EXPECT_EQ(resumed.report, full.report);
+    EXPECT_EQ(resumed.log, full.log);
+    EXPECT_EQ(resumed.model_divergence, full.model_divergence);
+}
+
+/// Records the call indices a run announces.
+class CallLog final : public driver::CaseObserver {
+public:
+    void on_case_begin(const driver::TestCase&) override {
+        ++begins;
+        calls.clear();
+    }
+    void on_call(std::size_t call_index) override { calls.push_back(call_index); }
+
+    std::size_t begins = 0;
+    std::vector<std::size_t> calls;
+};
+
+void check_resume_contract(const tspec::ComponentSpec& spec,
+                           const reflect::ClassBinding& class_binding) {
+    mfc::ElementPool pool;
+    core::SelfTestableComponent component(spec, class_binding);
+    component.set_completions(mfc::make_completions(pool));
+    const driver::TestSuite suite = component.generate_tests();
+    const std::string& class_name = suite.class_name;
+    const reflect::ClassBinding& binding = component.registry().at(class_name);
+    ASSERT_TRUE(binding.has_cloner());
+
+    driver::RunnerOptions options;
+    options.model = model::binding_for(class_name);
+    ASSERT_NE(options.model, nullptr);
+    const driver::TestRunner runner(component.registry(), options);
+    CallLog log;
+    driver::RunnerOptions observed_options = options;
+    observed_options.observer = &log;
+    const driver::TestRunner observed(component.registry(), observed_options);
+
+    // Every boundary of every case, the implicit wrap-up included.
+    std::vector<std::vector<driver::CaseCheckpoint>> checkpoints;
+    for (const driver::TestCase& tc : suite.cases) {
+        SCOPED_TRACE(tc.id);
+        std::vector<std::size_t> boundaries;
+        for (std::size_t k = 1; k <= tc.calls.size(); ++k) boundaries.push_back(k);
+        checkpoints.push_back(runner.capture_case(binding, tc, boundaries));
+        const std::vector<driver::CaseCheckpoint>& captured = checkpoints.back();
+        ASSERT_FALSE(captured.empty());
+
+        (void)observed.run_case(binding, tc);
+        const std::vector<std::size_t> full_calls = log.calls;
+        const driver::TestResult full = runner.run_case(binding, tc);
+        for (std::size_t j = 0; j < captured.size(); ++j) {
+            const std::size_t k = captured[j].resume_call;
+            ASSERT_EQ(k, j + 1);
+            expect_same_result(runner.run_case_from(binding, tc, captured[j]),
+                               full, k);
+
+            const std::size_t begins = log.begins;
+            (void)observed.run_case_from(binding, tc, captured[j]);
+            EXPECT_EQ(log.begins, begins + 1);
+            const std::vector<std::size_t> suffix(
+                std::lower_bound(full_calls.begin(), full_calls.end(), k),
+                full_calls.end());
+            EXPECT_EQ(log.calls, suffix) << "resumed at call " << k;
+        }
+    }
+
+    // Under every mutant that covers a case, resuming at any boundary up
+    // to the case's first consultation of the site still gives the full
+    // mutated run.
+    const mutation::CoverageIndex coverage =
+        mutation::run_with_coverage(component.registry(), options, suite).index;
+    const std::vector<mutation::Mutant> mutants =
+        mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    std::size_t resumed_under_mutants = 0;
+    for (const mutation::Mutant& mutant : mutants) {
+        const mutation::MutantActivation activation(mutant);
+        for (std::size_t c = 0; c < suite.cases.size(); ++c) {
+            const driver::TestCase& tc = suite.cases[c];
+            const std::optional<std::size_t> hit = coverage.first_hit(tc.id, mutant);
+            if (!hit || checkpoints[c].front().resume_call > *hit) continue;
+            SCOPED_TRACE(mutant.id() + " on " + tc.id);
+            const driver::TestResult full = runner.run_case(binding, tc);
+            for (const driver::CaseCheckpoint& checkpoint : checkpoints[c]) {
+                if (checkpoint.resume_call > *hit) break;
+                expect_same_result(runner.run_case_from(binding, tc, checkpoint),
+                                   full, checkpoint.resume_call);
+                ++resumed_under_mutants;
+            }
+        }
+    }
+    EXPECT_GT(resumed_under_mutants, 0u);
+}
+
+TEST(RunnerResumeContract, CObListSuiteWithModel) {
+    check_resume_contract(mfc::coblist_spec(), mfc::coblist_binding());
+}
+
+TEST(RunnerResumeContract, SortableSuiteWithModel) {
+    check_resume_contract(mfc::sortable_spec(), mfc::sortable_binding());
 }
 
 }  // namespace
