@@ -153,6 +153,20 @@ TEST_F(KillSearchTest, BudgetExhaustionIsDeterministic) {
     EXPECT_EQ(first.stats.states_expanded, options.budget_states);
 }
 
+TEST_F(KillSearchTest, DepthCutIsNotExhaustion) {
+    // Three calls after birth cannot reach this survivor's killer.  The
+    // search explores everything above the cut without touching its
+    // budget, but it dropped states that had successors: that is an
+    // inconclusive stop, never an exhausted product.
+    kill::SearchOptions options = search_options();
+    options.max_depth = 3;
+    const kill::SearchOutcome outcome =
+        make_search(options).find_killer(mutant(kKillableA));
+    EXPECT_EQ(outcome.status, kill::SearchStatus::BudgetExhausted);
+    EXPECT_LT(outcome.stats.states_expanded, options.budget_states);
+    EXPECT_GT(outcome.stats.armed_states, 0u);
+}
+
 // Search effort at default options.  The values were recorded from the
 // search that re-ran every candidate from its constructor; a faster way
 // of executing candidates may drop executed calls but must not move the
