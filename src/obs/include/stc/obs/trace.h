@@ -7,6 +7,9 @@
 //
 //   phase              one pipeline stage (generate, baseline, items...)
 //   campaign           one work item on a pool worker, completion included
+//   serve              one item on a daemon (work-item), or the dispatch
+//                      coordinator's decode + completion of its result
+//                      (merge)
 //   test-case          one TestCase executed by a runner
 //   method-call        one CUT method invocation inside a case
 //   oracle-compare     one golden-vs-observed suite classification

@@ -251,10 +251,20 @@ campaign::CampaignResult BuiltinCampaign::dispatch(
     DispatchStats run_stats;
     run_stats.workers = options.workers.size();
     if (!pending.empty()) {
+        const obs::Tracer tracer = options.obs.tracer;
         Coordinator coordinator(std::move(options));
         run_stats = coordinator.run(
             pending, [&](const campaign::WorkItem& item,
                          const obs::JsonObject& result) {
+                // The coordinator's own share of an item, on its thread
+                // while the daemons keep evaluating their windows.
+                const obs::SpanScope merge_span(
+                    tracer, "serve", "merge",
+                    tracer.enabled()
+                        ? obs::JsonObject()
+                              .set("item", static_cast<std::uint64_t>(item.index))
+                              .set("mutant", item.mutant_id)
+                        : obs::JsonObject());
                 // The Result payload is the sandbox outcome codec plus
                 // item/wall_ms/worker — decode_outcome tolerates the
                 // extras.

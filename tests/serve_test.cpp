@@ -808,6 +808,41 @@ TEST(ServeBuiltinHost, DispatchedFatesMatchLocalEvaluation) {
     }
 }
 
+TEST(ServeBuiltinHost, TracedDispatchRecordsOneMergeSpanPerItem) {
+    // The coordinator's share of each item (decode + Ledger::finish) is
+    // its own serve/merge span, so the merge can be timed apart from the
+    // daemons' evaluation.
+    BuiltinCampaignConfig config;
+    config.component = "coblist";
+    std::string error;
+    const auto host = BuiltinCampaign::open(config, &error);
+    ASSERT_NE(host, nullptr) << error;
+
+    DaemonHandle d1(builtin_session_factory());
+    DaemonHandle d2(builtin_session_factory());
+    const obs::Tracer tracer = obs::Tracer::make();
+    DispatchOptions options;
+    options.workers = {d1.endpoint(), d2.endpoint()};
+    options.hello = make_hello(config, host->fingerprint());
+    options.expected_fingerprint = host->fingerprint();
+    options.obs.tracer = tracer;
+    DispatchStats stats;
+    const campaign::CampaignResult result =
+        host->dispatch(std::move(options), "", &stats);
+    EXPECT_EQ(result.stats.executed, host->items().size());
+
+    std::map<std::uint64_t, std::size_t> merges;  // item -> merge spans
+    for (const obs::TraceEvent& event : tracer.events()) {
+        if (event.category != "serve" || event.name != "merge") continue;
+        EXPECT_EQ(event.actor, 0);  // the coordinator's, never a daemon's
+        ++merges[event.args.get_uint("item").value_or(host->items().size())];
+    }
+    ASSERT_EQ(merges.size(), host->items().size());
+    for (const campaign::WorkItem& item : host->items()) {
+        EXPECT_EQ(merges[item.index], 1u) << item.mutant_id;
+    }
+}
+
 // ------------------------------------------------- executor contract
 
 /// Per event kind, the distinct key sets (sorted, space-joined) of a
