@@ -148,9 +148,11 @@ Session::Session(const reflect::Registry& bindings, const driver::TestSuite& sui
 
     // Shared-prefix checkpoint ladders, built serially on the un-mutated
     // component.  Read-only afterwards: safe for concurrent workers, and
-    // inherited copy-on-write by forked sandbox children.  Memoization
-    // stands down under a lockstep model (resumed runs skip the model
-    // leg); coverage pruning stays on.
+    // inherited copy-on-write by forked sandbox children.  Resumed runs
+    // keep the model leg (checkpoints carry the lockstep state), yet
+    // memoization still stands down under a lockstep model until the
+    // prune differential gates cover that input; coverage pruning stays
+    // on.
     if (pruned_) {
         const auto phase_start = Clock::now();
         const obs::SpanScope span(obs.tracer, "phase", "prune-plan");

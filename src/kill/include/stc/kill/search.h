@@ -26,11 +26,30 @@
 //      legal C++ client (e.g. CObList RemoveTail after RemoveHead).
 //      Killers found here are flagged `widened`.
 //
+// Cost of a candidate: execution is incremental.  Every queued state
+// holds a clean checkpoint of the component after its body
+// (driver::CaseCheckpoint: the class binding's clone, the observation
+// log and the lockstep model's state), taken when the state is pushed
+// and released when it is popped and expanded.  A child's clean leg
+// therefore runs only its own node group plus the steering suffix to a
+// death node, from its parent's checkpoint.  Its mutant leg resumes
+// from the latest clean checkpoint before the candidate first consults
+// the mutated site; one such checkpoint serves a whole armed subtree,
+// sound because a mutated run is identical to the clean one until that
+// call, and a mutated object is never cloned.  Dedup keys advance a
+// clone of the parent's key model by one group.  The bodies themselves
+// live once, in a per-phase prefix tree of node groups.  A class
+// without a cloner runs the same search with null checkpoints, i.e.
+// every leg from its constructor.
+//
 // Determinism: BFS expands nodes in graph insertion order, argument
 // values are synthesized once per (mutant, round) from a seed derived
 // with campaign::derive_item_seed, and the budget is counted in queue
 // pushes — so two same-seed runs produce byte-identical outcomes
-// regardless of wall clock or worker count.
+// regardless of wall clock or worker count.  Where a leg starts changes
+// only which calls execute: statuses, killers, `K<n>` case ids and
+// every SearchStats counter are those of running each candidate from
+// its constructor.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +69,12 @@ namespace stc::kill {
 /// Terminal state of one mutant's search.
 enum class SearchStatus {
     Verified,         ///< a candidate executed against the mutant and killed it
-    SiteUnreachable,  ///< no explored transaction ever consulted the site
+    SiteUnreachable,  ///< the site is outside the t-spec interface, or the
+                      ///< exploration completed and no candidate consulted it
     SearchExhausted,  ///< every reachable product state explored, no kill —
                       ///< the strongest equivalence evidence this tool produces
-    BudgetExhausted,  ///< stopped at --budget-states / --max-depth, inconclusive
+    BudgetExhausted,  ///< stopped at --budget-states, or dropped states with
+                      ///< successors at --max-depth: inconclusive
 };
 
 [[nodiscard]] const char* to_string(SearchStatus status) noexcept;
@@ -82,7 +103,7 @@ struct SearchOptions {
 struct SearchStats {
     std::size_t states_expanded = 0;     ///< queue pushes consumed from budget
     std::size_t candidates_executed = 0; ///< golden/mutated evaluation pairs
-    std::size_t arming_checks = 0;       ///< clean coverage probes of the site
+    std::size_t arming_checks = 0;       ///< clean runs probing for the site
     std::size_t armed_states = 0;        ///< states that had traversed the site
     std::size_t rounds = 0;              ///< value rounds actually entered
 };

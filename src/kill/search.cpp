@@ -357,7 +357,7 @@ private:
     /// or executed, consulted the site.
     std::pair<driver::TestResult, bool> run_clean(const driver::TestCase& tc,
                                                   const SearchState* parent,
-                                                  SearchState& child) const {
+                                                  SearchState& child) {
         const Checkpoint from = parent != nullptr ? parent->clean : nullptr;
         std::vector<std::size_t> boundaries;
         if (wants_checkpoint(child)) boundaries.push_back(child.length);

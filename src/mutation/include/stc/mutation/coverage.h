@@ -14,9 +14,10 @@
 //     reaches executes byte-identically to golden and can be skipped;
 //   * memoization — the first-hit call index bounds how deep a shared
 //     prefix checkpoint may sit while staying fate-identical.
-// The recorder itself stays a per-case map, so the other users of
-// run_with_coverage (e.g. the kill search's per-candidate coverage runs)
-// pay nothing for the inversion.
+// The recorder itself stays a per-case map, so other users of
+// run_with_coverage pay nothing for the inversion.  (The kill search,
+// which needs one site's first hit per candidate, uses its own
+// single-site sink instead.)
 #pragma once
 
 #include <cstddef>
