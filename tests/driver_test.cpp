@@ -3,8 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "stc/driver/generator.h"
 #include "stc/driver/runner.h"
@@ -384,6 +387,66 @@ TEST_F(DriverTest, RunsAreDeterministic) {
         EXPECT_EQ(a.results[i].report, b.results[i].report);
         EXPECT_EQ(a.results[i].log, b.results[i].log);
     }
+}
+
+// ------------------------------------------------------- checkpoint resume
+
+/// A reference model that is wrong on purpose: it predicts that Get
+/// always returns 0, so a run diverges at its first Get of a non-zero
+/// counter.  The real models never diverge on an unmutated component,
+/// so only a model like this one puts a divergence before a checkpoint.
+class ZeroModel final : public LockstepModel {
+public:
+    bool construct(const std::vector<domain::Value>&) override { return true; }
+    bool apply_state(const std::string&) override { return false; }
+    ModelPrediction apply(const MethodCall& call) override {
+        if (call.method_name == "Get") return ModelPrediction{true, true, "0"};
+        return ModelPrediction{true, false, {}};
+    }
+    [[nodiscard]] std::string abstract_state() const override { return {}; }
+    [[nodiscard]] std::unique_ptr<LockstepModel> clone() const override {
+        return std::make_unique<ZeroModel>(*this);
+    }
+};
+
+TEST_F(DriverTest, ResumedRunsCarryAnEarlierDivergence) {
+    reflect::ClassBinding binding = stc::testing::counter_binding();
+    binding.set_cloner([](const void* object) -> void* {
+        return new stc::testing::Counter(
+            *static_cast<const stc::testing::Counter*>(object));
+    });
+    ModelBinding model;
+    model.factory = [] { return std::make_unique<ZeroModel>(); };
+    model.project = [](const void*) { return std::string(); };
+    const TestSuite suite = DriverGenerator(spec_).generate();
+
+    std::size_t carried = 0;
+    for (const bool promote : {false, true}) {
+        RunnerOptions options;
+        options.model = &model;
+        options.promote_divergence = promote;
+        const TestRunner runner(registry_, options);
+        for (const TestCase& tc : suite.cases) {
+            std::vector<std::size_t> boundaries;
+            for (std::size_t k = 1; k <= tc.calls.size(); ++k) boundaries.push_back(k);
+            const TestResult full = runner.run_case(binding, tc);
+            for (const CaseCheckpoint& checkpoint :
+                 runner.capture_case(binding, tc, boundaries)) {
+                SCOPED_TRACE(tc.id + " resumed at call " +
+                             std::to_string(checkpoint.resume_call));
+                if (!checkpoint.model_divergence.empty()) ++carried;
+                const TestResult resumed =
+                    runner.run_case_from(binding, tc, checkpoint);
+                EXPECT_EQ(resumed.verdict, full.verdict);
+                EXPECT_EQ(resumed.message, full.message);
+                EXPECT_EQ(resumed.failed_method, full.failed_method);
+                EXPECT_EQ(resumed.report, full.report);
+                EXPECT_EQ(resumed.log, full.log);
+                EXPECT_EQ(resumed.model_divergence, full.model_divergence);
+            }
+        }
+    }
+    EXPECT_GT(carried, 0u);
 }
 
 }  // namespace
