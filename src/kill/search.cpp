@@ -129,7 +129,6 @@ struct SearchState {
     std::size_t depth = 0;
     std::size_t length = 0;  ///< calls in the body, constructor included
     bool armed = false;
-    bool incomplete = false;
     /// The clean component after the body: children resume here.
     Checkpoint clean;
     /// The body consulted the site on the clean component, and the latest
@@ -236,7 +235,6 @@ private:
         child.depth = parent != nullptr ? parent->depth + 1 : 0;
         child.length = (parent != nullptr ? parent->length : 0) + group.calls.size();
         child.armed = parent != nullptr && parent->armed;
-        child.incomplete = (parent != nullptr && parent->incomplete) || group.incomplete;
 
         const bool judged = child.armed || group.contains;
         if (judged) {
@@ -406,11 +404,10 @@ private:
         if (!ev.clean_ok || (!already_armed && !ev.covered)) return ev;
 
         ++s_.out.stats.candidates_executed;
-        // Without a site hit in the body, any checkpoint of it will do.
-        Checkpoint from = child.site_hit ? child.pre_hit : child.clean;
-        if (!child.site_hit && from == nullptr && parent != nullptr) {
-            from = parent->clean;
-        }
+        // Without a site hit in the body, the clean leg's start will do.
+        const Checkpoint from =
+            child.site_hit ? child.pre_hit
+                           : parent != nullptr ? parent->clean : nullptr;
         driver::SuiteResult mutated;
         {
             const mutation::MutantActivation activation(s_.mutant);
