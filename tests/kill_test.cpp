@@ -170,7 +170,9 @@ TEST_F(KillSearchTest, DepthCutIsNotExhaustion) {
 // Search effort at default options.  The values were recorded from the
 // search that re-ran every candidate from its constructor; a faster way
 // of executing candidates may drop executed calls but must not move the
-// outcome or any counter.
+// outcome or any counter.  A class without a cloner runs the same search
+// with every leg starting at the constructor, and lands on the same
+// values and the same killers.
 TEST_F(KillSearchTest, DefaultSearchEffortIsPinned) {
     struct Pin {
         const char* mutant;
@@ -188,20 +190,37 @@ TEST_F(KillSearchTest, DefaultSearchEffortIsPinned) {
         {kStubborn, kill::SearchStatus::BudgetExhausted,
          oracle::KillReason::None, false, 0, {4096, 4682, 22, 22, 1}},
     };
-    const kill::ProductSearch search = make_search(search_options());
+    reflect::ClassBinding uncloned_binding = mfc::coblist_binding();
+    uncloned_binding.set_cloner({});
+    core::SelfTestableComponent uncloned(mfc::coblist_spec(), uncloned_binding);
+    uncloned.set_completions(completions_);
+    ASSERT_FALSE(uncloned.registry().at("CObList").has_cloner());
+
+    const kill::ProductSearch with_cloner = make_search(search_options());
+    const kill::ProductSearch without_cloner(uncloned.spec(), uncloned.registry(),
+                                             &completions_, search_options());
     for (const Pin& pin : pins) {
-        SCOPED_TRACE(pin.mutant);
-        const kill::SearchOutcome outcome = search.find_killer(mutant(pin.mutant));
-        EXPECT_EQ(outcome.status, pin.status);
-        EXPECT_EQ(outcome.reason, pin.reason);
-        EXPECT_EQ(outcome.widened, pin.widened);
-        EXPECT_EQ(outcome.killer.calls.size(), pin.killer_calls);
-        EXPECT_EQ(outcome.stats.states_expanded, pin.stats.states_expanded);
-        EXPECT_EQ(outcome.stats.candidates_executed,
-                  pin.stats.candidates_executed);
-        EXPECT_EQ(outcome.stats.arming_checks, pin.stats.arming_checks);
-        EXPECT_EQ(outcome.stats.armed_states, pin.stats.armed_states);
-        EXPECT_EQ(outcome.stats.rounds, pin.stats.rounds);
+        std::vector<kill::SearchOutcome> outcomes;
+        for (const kill::ProductSearch* search : {&with_cloner, &without_cloner}) {
+            SCOPED_TRACE(std::string(pin.mutant) +
+                         (search == &with_cloner ? "" : " without a cloner"));
+            const kill::SearchOutcome outcome =
+                search->find_killer(mutant(pin.mutant));
+            EXPECT_EQ(outcome.status, pin.status);
+            EXPECT_EQ(outcome.reason, pin.reason);
+            EXPECT_EQ(outcome.widened, pin.widened);
+            EXPECT_EQ(outcome.killer.calls.size(), pin.killer_calls);
+            EXPECT_EQ(outcome.stats.states_expanded, pin.stats.states_expanded);
+            EXPECT_EQ(outcome.stats.candidates_executed,
+                      pin.stats.candidates_executed);
+            EXPECT_EQ(outcome.stats.arming_checks, pin.stats.arming_checks);
+            EXPECT_EQ(outcome.stats.armed_states, pin.stats.armed_states);
+            EXPECT_EQ(outcome.stats.rounds, pin.stats.rounds);
+            outcomes.push_back(outcome);
+        }
+        EXPECT_EQ(outcomes[0].killer.id, outcomes[1].killer.id);
+        EXPECT_EQ(outcomes[0].killer.transaction_text,
+                  outcomes[1].killer.transaction_text);
     }
 }
 
