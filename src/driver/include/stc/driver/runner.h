@@ -183,9 +183,8 @@ public:
         const std::vector<std::size_t>& boundaries) const;
 
     /// capture_case and run_case in one execution: the result of the run
-    /// plus the checkpoints it captured.  With `from`, execution resumes
-    /// there as in run_case_from (boundaries then lie past its
-    /// resume_call).
+    /// plus the checkpoints it captured.  A non-null `from` resumes there
+    /// as in run_case_from (boundaries then lie past its resume_call).
     struct CapturedRun {
         TestResult result;
         std::vector<CaseCheckpoint> checkpoints;
@@ -193,7 +192,7 @@ public:
     [[nodiscard]] CapturedRun run_and_capture(
         const reflect::ClassBinding& binding, const TestCase& test_case,
         const std::vector<std::size_t>& boundaries,
-        const CaseCheckpoint* from = nullptr) const;
+        const CaseCheckpoint* from) const;
 
     /// Replay only the suffix of `test_case` from `checkpoint`; only
     /// calls[checkpoint.resume_call..] are read.  The result is

@@ -307,9 +307,9 @@ private:
 
     /// Its children will run (it is not a death node, sits above the
     /// depth bound and can still reach a death node), so it keeps a
-    /// clean checkpoint.
+    /// clean checkpoint — when the class can be cloned at all.
     [[nodiscard]] bool wants_checkpoint(const SearchState& state) const {
-        return !graph_.is_death(state.node) &&
+        return s_.binding.has_cloner() && !graph_.is_death(state.node) &&
                state.depth < s_.options.max_depth &&
                groups_[state.node].steering.has_value();
     }
