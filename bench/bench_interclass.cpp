@@ -1,92 +1,94 @@
-// Interclass-testing ablation — quantifies the motivation of the
-// paper's §6 extension: faults in the *interaction* between classes
-// (here: Wallet's write-through to its audit Ledger) under two testing
-// strategies:
+// Interclass ablation — quantifies the motivation of the paper's §6
+// extension: faults in the *interaction* between classes (here:
+// Wallet's write-through to its audit Ledger), hunted by two campaigns
+// over the same interface mutants of Wallet::Deposit / Wallet::Withdraw:
 //
-//   intraclass — Wallet tested alone (§3's single-class methodology);
-//                the Ledger parameter is a tester completion the suite
-//                never observes.
-//   interclass — the AuditedWallet system suite: the same call shapes,
-//                but the Ledger is a first-class role whose Reporter
-//                output is part of the observable state.
+//   wallet         — Wallet tested alone (§3's single-class methodology);
+//                    the Ledger parameter is a tester completion the
+//                    suite never observes.  All-transactions, the
+//                    default criterion.
+//   audited-wallet — the Wallet+Ledger assembly (stc::assembly): the
+//                    AuditedWallet facade reports the Ledger as well, so
+//                    a dropped or corrupted booking reaches the output
+//                    oracle.  All-links criterion (all-transactions of
+//                    the product runs into the enumeration cap).
 //
-// Interface mutants are seeded into Wallet::Deposit / Wallet::Withdraw.
-// The write-through sites (the ledger pointer and the booked amounts)
-// are only observable through the collaborator.
+// Both rows run MutationEngine::run over the registered campaign
+// targets, so they evaluate the suites of `concat campaign wallet` and
+// `concat campaign audited-wallet --assembly --criterion all-links`.
 #include "bench_util.h"
-#include "stc/interclass/system_driver.h"
-#include "wallet_component.h"
+#include "shop_targets.h"
+#include "stc/serve/builtin_host.h"
+
+namespace {
+
+using namespace stc;
+
+struct Row {
+    std::size_t cases = 0;
+    mutation::MutationRun run;
+};
+
+Row run_target(const std::string& name, tfm::Criterion criterion,
+               const std::vector<mutation::Mutant>& mutants) {
+    const serve::BuiltinComponent holder =
+        serve::find_builtin_target(name)->make_component();
+    driver::GeneratorOptions generator;
+    generator.criterion = criterion;
+    const driver::TestSuite suite = holder.component->generate_tests(generator);
+    const mutation::MutationEngine engine(holder.component->registry());
+    return {suite.size(), engine.run(suite, mutants)};
+}
+
+void add_row(support::TextTable& table, const std::string& label, const Row& row) {
+    const mutation::MutationRun& run = row.run;
+    const std::size_t alive =
+        run.total() - run.killed() - run.equivalent() - run.not_covered();
+    table.add_row({label, std::to_string(row.cases), std::to_string(run.killed()),
+                   std::to_string(alive), std::to_string(run.not_covered()),
+                   support::percent(run.score())});
+}
+
+}  // namespace
 
 int main() {
-    using namespace stc;
     bench::banner("Interclass ablation — collaboration faults in Wallet");
+    examples::register_example_targets();
 
-    const auto mutants =
-        mutation::enumerate_mutants(examples::wallet_descriptors(), "Wallet");
+    const auto mutants = serve::find_builtin_target("wallet")->mutants();
     std::cout << "\nmutants in Wallet::Deposit / Wallet::Withdraw: "
               << mutants.size() << "\n\n";
 
-    reflect::Registry registry;
-    examples::register_wallet_classes(registry);
-
-    // --- intraclass: Wallet alone -------------------------------------------
-    examples::LedgerPool ledgers;
-    const auto completions = ledgers.completions();
-    driver::DriverGenerator intraclass_gen(examples::wallet_intraclass_spec());
-    intraclass_gen.completions(&completions);
-    const auto intraclass_suite = intraclass_gen.generate();
-
-    const mutation::MutationEngine engine(registry);
-    const driver::TestRunner runner(registry);
-    const auto intraclass_run = engine.run_with(
-        [&] { return runner.run(intraclass_suite); }, mutants);
-
-    // --- interclass: the AuditedWallet system --------------------------------
-    const auto system = examples::wallet_system_spec();
-    const auto system_suite =
-        interclass::SystemDriverGenerator(system).generate();
-    const interclass::SystemRunner system_runner(registry);
-    const auto interclass_run = engine.run_with(
-        [&] { return system_runner.run(system, system_suite); }, mutants);
+    const Row alone =
+        run_target("wallet", tfm::Criterion::AllTransactions, mutants);
+    const Row assembled =
+        run_target("audited-wallet", tfm::Criterion::AllEdges, mutants);
 
     support::TextTable table(
-        {"Strategy", "test cases", "#killed", "not covered", "Score"});
+        {"Campaign", "test cases", "#killed", "alive", "not covered", "Score"});
     table.set_align(0, support::Align::Left);
-    table.add_row({"intraclass (Wallet alone)",
-                   std::to_string(intraclass_suite.size()),
-                   std::to_string(intraclass_run.killed()),
-                   std::to_string(intraclass_run.total() -
-                                  intraclass_run.killed() -
-                                  intraclass_run.equivalent()),
-                   support::percent(intraclass_run.score())});
-    table.add_row({"interclass (system suite)",
-                   std::to_string(system_suite.size()),
-                   std::to_string(interclass_run.killed()),
-                   std::to_string(interclass_run.total() -
-                                  interclass_run.killed() -
-                                  interclass_run.equivalent()),
-                   support::percent(interclass_run.score())});
+    add_row(table, "wallet (Wallet alone)", alone);
+    add_row(table, "audited-wallet (assembly, all-links)", assembled);
     table.render(std::cout);
 
-    // Which mutants does only the interclass suite kill?
-    std::cout << "\nmutants killed by the interclass suite but missed "
-                 "intraclass:\n";
+    std::cout << "\nmutants killed through the assembly but missed by Wallet "
+                 "alone:\n";
     std::size_t interaction_only = 0;
     for (std::size_t i = 0; i < mutants.size(); ++i) {
-        const bool intra = intraclass_run.outcomes[i].fate ==
-                           mutation::MutantFate::Killed;
-        const bool inter = interclass_run.outcomes[i].fate ==
-                           mutation::MutantFate::Killed;
+        const bool intra = alone.run.outcomes[i].fate == mutation::MutantFate::Killed;
+        const bool inter =
+            assembled.run.outcomes[i].fate == mutation::MutantFate::Killed;
         if (inter && !intra) {
             ++interaction_only;
-            if (interaction_only <= 8) std::cout << "  " << mutants[i].id() << "\n";
+            std::cout << "  " << mutants[i].id() << "\n";
         }
     }
     std::cout << "total: " << interaction_only
-              << " interaction fault(s) visible only with interclass testing\n";
+              << " interaction fault(s) visible only through the assembly\n";
 
-    const bool shape_holds =
-        intraclass_run.baseline_clean && interclass_run.baseline_clean &&
-        interclass_run.score() > intraclass_run.score() && interaction_only > 0;
+    const bool shape_holds = alone.run.baseline_clean &&
+                             assembled.run.baseline_clean &&
+                             assembled.run.score() > alone.run.score() &&
+                             interaction_only > 0;
     return shape_holds ? 0 : 1;
 }

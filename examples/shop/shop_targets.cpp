@@ -47,6 +47,21 @@ void register_example_targets() {
         return mutation::enumerate_mutants(wallet_descriptors(), "Wallet");
     };
     serve::register_builtin_target("shop", std::move(shop));
+
+    // The §6 Wallet+Ledger pair as an assembly: the same Wallet mutants,
+    // hunted through a facade that also reports the audit Ledger.
+    serve::BuiltinTarget audited;
+    audited.assembly = true;
+    audited.make_component = [] {
+        serve::BuiltinComponent out;
+        out.component.emplace(audited_wallet_product().spec,
+                              audited_wallet_binding());
+        return out;
+    };
+    audited.mutants = [] {
+        return mutation::enumerate_mutants(wallet_descriptors(), "Wallet");
+    };
+    serve::register_builtin_target("audited-wallet", std::move(audited));
 }
 
 }  // namespace stc::examples

@@ -1,7 +1,8 @@
-// Two collaborating self-testable classes used by the interclass
-// example and tests: a Wallet whose deposits/withdrawals write through
-// to an attached Ledger — a genuine cross-class interaction (the ledger
-// pointer flows in as a method parameter bound to another role).
+// Two collaborating self-testable classes: a Wallet whose
+// deposits/withdrawals write through to an attached Ledger, a genuine
+// cross-class interaction, and the AuditedWallet facade that assembles
+// the pair into one component (the paper's §6 extension, run as the
+// `audited-wallet` assembly campaign target).
 #pragma once
 
 #include <ostream>
@@ -44,19 +45,19 @@ private:
 
 /// A balance that never goes negative; movements are mirrored into the
 /// attached ledger, so "wallet balance == ledger total" is a cross-class
-/// property the interclass suite can check.
+/// property an assembly suite can check.
 class Wallet : public bit::BuiltInTest {
 public:
     Wallet() = default;
 
-    /// Attach the audit ledger (an interclass parameter).
+    /// Attach the audit ledger (the collaborator).
     void Attach(Ledger* ledger) {
         STC_PRECONDITION(ledger != nullptr);
         ledger_ = ledger;
     }
 
     /// Add funds; recorded when a ledger is attached.  Instrumented with
-    /// interface-mutation sites (interclass mutation experiments).
+    /// interface-mutation sites (the collaboration-fault experiments).
     void Deposit(int amount);
 
     /// Withdraw up to `amount`; returns what was actually withdrawn
@@ -78,8 +79,41 @@ private:
     Ledger* ledger_ = nullptr;
 };
 
+/// The Wallet+Ledger pair as ONE component: the ledger is attached at
+/// birth, so every Deposit and Withdraw books through to it (the hidden
+/// Deposit->Record and Withdraw->Record actions of the assembly), and
+/// the report shows both objects.  A dropped or corrupted booking thus
+/// reaches the output oracle, which Wallet tested alone never sees.
+class AuditedWallet : public bit::BuiltInTest {
+public:
+    AuditedWallet() { wallet_.Attach(&ledger_); }
+
+    void Deposit(int amount) { wallet_.Deposit(amount); }
+    int Withdraw(int amount) { return wallet_.Withdraw(amount); }
+    [[nodiscard]] int Balance() const noexcept { return wallet_.Balance(); }
+    [[nodiscard]] int Count() const noexcept { return ledger_.Count(); }
+    [[nodiscard]] int Total() const noexcept { return ledger_.Total(); }
+
+    void InvariantTest() const override {
+        wallet_.InvariantTest();
+        ledger_.InvariantTest();
+    }
+
+    void Reporter(std::ostream& os) const override {
+        os << "AuditedWallet{";
+        wallet_.Reporter(os);
+        os << ", ";
+        ledger_.Reporter(os);
+        os << "}";
+    }
+
+private:
+    Ledger ledger_;
+    Wallet wallet_;
+};
+
 /// Register Wallet's mutation descriptors (Deposit, Withdraw) — the
-/// targets of the interclass mutation experiment.
+/// targets of the collaboration-fault experiment.
 void register_wallet_descriptors(mutation::DescriptorRegistry& registry);
 
 }  // namespace stc::examples

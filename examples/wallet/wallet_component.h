@@ -1,35 +1,25 @@
-// Interclass packaging of the Wallet/Ledger component: per-class t-specs
-// (interface only — the test model lives at the system level), the
-// system spec with its roles and system TFM, and the reflection
-// bindings.
+// Packaging of the Wallet/Ledger component: Wallet tested alone (the
+// intraclass spec with pool-completed, unobserved Ledgers), the
+// audited-wallet assembly (per-role t-specs, wiring, exported
+// interface, the computed product and the AuditedWallet facade's
+// binding), and the mutation descriptors both campaigns hunt.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "stc/assembly/product.h"
 #include "stc/driver/generator.h"
-#include "stc/interclass/system_spec.h"
 #include "stc/reflect/class_binding.h"
+#include "stc/tspec/assembly.h"
 #include "wallet.h"
 
 namespace stc::examples {
 
-/// Interface t-spec of Wallet (methods m1..m6).
-[[nodiscard]] tspec::ComponentSpec wallet_spec();
-
-/// Interface t-spec of Ledger (methods m1..m4).
-[[nodiscard]] tspec::ComponentSpec ledger_spec();
-
-/// The two-role system: wallet (Wallet) + audit (Ledger); the system TFM
-/// sequences attach/deposit/withdraw/queries across both objects.
-[[nodiscard]] interclass::SystemSpec wallet_system_spec();
-
-/// Individual class bindings.
+/// Reflection binding of Wallet.
 [[nodiscard]] reflect::ClassBinding wallet_binding();
-[[nodiscard]] reflect::ClassBinding ledger_binding();
-
-/// Register both class bindings.
-void register_wallet_classes(reflect::Registry& registry);
 
 /// Canonical mutation descriptor registry for Wallet.
 [[nodiscard]] const mutation::DescriptorRegistry& wallet_descriptors();
@@ -39,6 +29,24 @@ void register_wallet_classes(reflect::Registry& registry);
 /// fresh, unobserved Ledger from `pool`.  This is the §6 counterpoint:
 /// collaboration faults invisible to intraclass testing.
 [[nodiscard]] tspec::ComponentSpec wallet_intraclass_spec();
+
+/// Role t-specs of the audited-wallet assembly keyed by role id:
+/// "wallet" (Wallet: Deposit, Withdraw, Balance) and "audit" (Ledger:
+/// Record, Count, Total).  Withdraw is enabled only after a Deposit.
+[[nodiscard]] std::map<std::string, tspec::ComponentSpec> audited_wallet_role_specs();
+
+/// The assembly: roles wallet: Wallet and audit: Ledger, the silent
+/// wires Deposit->Record and Withdraw->Record, and the exports Deposit,
+/// Withdraw, Balance, Count and Total.
+[[nodiscard]] tspec::AssemblySpec audited_wallet_assembly();
+
+/// The synchronous product of audited_wallet_assembly() over
+/// audited_wallet_role_specs(): AuditedWallet's observable t-spec.
+[[nodiscard]] assembly::Product audited_wallet_product();
+
+/// Reflection binding of the AuditedWallet facade; method names match
+/// the product's exported interface.
+[[nodiscard]] reflect::ClassBinding audited_wallet_binding();
 
 /// Arena of Ledger objects for intraclass completions.
 class LedgerPool {

@@ -175,15 +175,10 @@ mutation::MutantOutcome Session::evaluate(std::size_t index,
             probe_suite_ != nullptr ? &probe_runner_ : nullptr, probe_suite_,
             probe_golden_, plan_, engine_, stats);
     }
-    const mutation::MutationEngine::SuiteExecutor run_suite = [this] {
-        return runner_.run(suite_);
-    };
-    mutation::MutationEngine::SuiteExecutor run_probe;
-    if (probe_suite_ != nullptr) {
-        run_probe = [this] { return probe_runner_.run(*probe_suite_); };
-    }
-    return mutation::evaluate_mutant(mutant, run_suite, golden_, run_probe,
-                                     probe_golden_, engine_);
+    return mutation::evaluate_mutant(
+        mutant, runner_, suite_, golden_,
+        probe_suite_ != nullptr ? &probe_runner_ : nullptr, probe_suite_,
+        probe_golden_, engine_);
 }
 
 Ledger::Ledger(const Session& session, ExecutorKind executor,

@@ -177,124 +177,4 @@ std::string DriverCodegen::suite_source(const driver::TestSuite& suite) const {
     return w.str();
 }
 
-SystemDriverCodegen::SystemDriverCodegen(interclass::SystemSpec spec,
-                                         CodegenOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {}
-
-std::string SystemDriverCodegen::render_args(
-    const std::vector<interclass::SystemArg>& args, int* hint_counter) const {
-    std::string out;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (i != 0) out += ", ";
-        if (args[i].is_role_ref()) {
-            out += "&" + args[i].role_ref + "_obj";
-            continue;
-        }
-        const auto& value = args[i].value;
-        if (value.kind() == domain::ValueKind::Pointer ||
-            value.kind() == domain::ValueKind::Object) {
-            const std::string cls = value.as_object().type_name.empty()
-                                        ? "CObject"
-                                        : value.as_object().type_name;
-            out += "tester_supplied_" + cls + "(" +
-                   std::to_string((*hint_counter)++) + ")";
-        } else {
-            out += value.to_source();
-        }
-    }
-    return out;
-}
-
-std::string SystemDriverCodegen::test_case_source(
-    const interclass::SystemTestCase& test_case) const {
-    IndentWriter w;
-    int hints = 0;
-
-    w.line("// Transaction: " + test_case.transaction_text);
-    w.open("void SystemCase" + test_case.id.substr(3) + "() {");
-    w.line("const char* CurrentMethod = \"<setup>\";");
-    w.line("std::ofstream LogFile(" + support::cpp_string_literal(options_.log_file) +
-           ", std::ios::app);");
-
-    // Roles on the stack, in declaration order (reverse teardown for free).
-    for (const auto& ctor : test_case.setup) {
-        const interclass::RoleSpec* role = spec_.find_role(ctor.role);
-        const std::string args = render_args(ctor.arguments, &hints);
-        // No empty parentheses: `T obj();` is the most vexing parse.
-        w.line(role->class_name + " " + ctor.role + "_obj" +
-               (args.empty() ? "" : "(" + args + ")") + ";");
-    }
-
-    auto invariants = [&] {
-        for (const auto& role : spec_.roles) {
-            w.line(role.role + "_obj.InvariantTest();");
-        }
-    };
-
-    w.open("try {");
-    for (const auto& call : test_case.body) {
-        const std::string rendered =
-            call.method_name + "(" + render_args(call.arguments, &hints) + ")";
-        invariants();
-        w.line("CurrentMethod = " +
-               support::cpp_string_literal(call.role + "." + rendered) + ";");
-        const tspec::ComponentSpec* cls =
-            spec_.spec_of(spec_.find_role(call.role)->class_name);
-        const tspec::MethodSpec* method =
-            cls == nullptr ? nullptr : cls->find_method(call.method_id);
-        const bool returns_value = method != nullptr && !method->return_type.empty();
-        w.line((returns_value ? "(void)" : "") + call.role + "_obj." + rendered +
-               ";");
-        invariants();
-    }
-    w.line("LogFile << \"TestCase " + test_case.id + " OK!\\n\";");
-    for (const auto& role : spec_.roles) {
-        w.line(role.role + "_obj.Reporter(LogFile);");
-        w.line("LogFile << \"\\n\";");
-    }
-    w.close("} catch (const std::exception& er) {");
-    w.indent();
-    w.line("LogFile << \"TestCase " + test_case.id + "\\n\" << er.what() << "
-           "\"\\n\";");
-    w.line("LogFile << \"Method called: \" << CurrentMethod << \"\\n\";");
-    w.outdent();
-    w.line("}");
-    w.line("LogFile.close();");
-    w.close("}");
-    return w.str();
-}
-
-std::string SystemDriverCodegen::suite_source(
-    const interclass::SystemTestSuite& suite) const {
-    IndentWriter w;
-    w.line("// Generated by the Concat Driver Generator (interclass).");
-    w.line("// Component under test: " + suite.component_name);
-    w.line("// Seed: " + std::to_string(suite.seed) + "; system model " +
-           std::to_string(suite.model_nodes) + " node(s) / " +
-           std::to_string(suite.model_links) + " link(s); " +
-           std::to_string(suite.size()) + " test case(s).");
-    w.line();
-    w.line("#include <fstream>");
-    w.line("#include <iostream>");
-    for (const auto& inc : options_.includes) {
-        w.line("#include " + (inc.front() == '<' ? inc : "\"" + inc + "\""));
-    }
-    for (const auto& ns : options_.usings) {
-        w.line("using namespace " + ns + ";");
-    }
-    w.line();
-
-    for (const auto& tc : suite.cases) {
-        w.line(test_case_source(tc));
-    }
-
-    w.open("int main() {");
-    for (const auto& tc : suite.cases) {
-        w.line("SystemCase" + tc.id.substr(3) + "();");
-    }
-    w.line("return 0;");
-    w.close("}");
-    return w.str();
-}
-
 }  // namespace stc::codegen

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "stc/driver/test_case.h"
-#include "stc/interclass/system_driver.h"
 #include "stc/tspec/model.h"
 
 namespace stc::codegen {
@@ -62,30 +61,6 @@ private:
                                           int* hint_counter) const;
 
     tspec::ComponentSpec spec_;  // owned: callers may pass temporaries
-    CodegenOptions options_;
-};
-
-/// Driver source generation for interclass (system) suites: each test
-/// case becomes a plain function that constructs every role on the
-/// stack, applies the transaction's calls (role references render as
-/// `&role_obj`), and checks each role's invariant around every call.
-/// Roles must be self-testable classes (they inherit BuiltInTest — the
-/// premise of the whole approach).
-class SystemDriverCodegen {
-public:
-    SystemDriverCodegen(interclass::SystemSpec spec, CodegenOptions options = {});
-
-    [[nodiscard]] std::string test_case_source(
-        const interclass::SystemTestCase& test_case) const;
-
-    [[nodiscard]] std::string suite_source(
-        const interclass::SystemTestSuite& suite) const;
-
-private:
-    [[nodiscard]] std::string render_args(
-        const std::vector<interclass::SystemArg>& args, int* hint_counter) const;
-
-    interclass::SystemSpec spec_;
     CodegenOptions options_;
 };
 

@@ -1,6 +1,6 @@
 // Shared text wire-format helpers for the concat-* persistence formats
-// (suite_io, golden_io, interclass system_io): percent-encoding of field
-// separators and the typed Value encoding.
+// (suite_io, the fuzz corpus): percent-encoding of field separators and
+// the typed Value encoding.
 #pragma once
 
 #include <cstdio>

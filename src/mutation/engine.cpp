@@ -94,43 +94,33 @@ MutationRun MutationEngine::run(const driver::TestSuite& suite,
     probe_opts.observe_each_call = true;
     const driver::TestRunner probe_runner(bindings_, probe_opts);
 
-    SuiteExecutor run_probe;
-    if (probe_suite != nullptr) {
-        run_probe = [&probe_runner, probe_suite] {
-            return probe_runner.run(*probe_suite);
-        };
-    }
-    return run_with([&runner, &suite] { return runner.run(suite); }, mutants,
-                    run_probe);
-}
-
-MutationRun MutationEngine::run_with(const SuiteExecutor& run_suite,
-                                     const std::vector<Mutant>& mutants,
-                                     const SuiteExecutor& run_probe) const {
-    if (!run_suite) throw ContractError("mutation engine needs a suite executor");
-
     MutationRun out;
 
     // Baseline ("original program", outputs validated before experiments).
-    out.golden = oracle::GoldenRecord::from(run_suite());
+    out.golden = oracle::GoldenRecord::from(runner.run(suite));
     out.baseline_clean = out.golden.all_passed();
 
     oracle::GoldenRecord probe_golden;
-    if (run_probe) probe_golden = oracle::GoldenRecord::from(run_probe());
+    if (probe_suite != nullptr) {
+        probe_golden = oracle::GoldenRecord::from(probe_runner.run(*probe_suite));
+    }
 
     out.outcomes.reserve(mutants.size());
     for (const Mutant& mutant : mutants) {
-        out.outcomes.push_back(evaluate_mutant(mutant, run_suite, out.golden,
-                                               run_probe, probe_golden, options_));
+        out.outcomes.push_back(evaluate_mutant(
+            mutant, runner, suite, out.golden,
+            probe_suite != nullptr ? &probe_runner : nullptr, probe_suite,
+            probe_golden, options_));
     }
 
     return out;
 }
 
-MutantOutcome evaluate_mutant(const Mutant& mutant,
-                              const MutationEngine::SuiteExecutor& run_suite,
+MutantOutcome evaluate_mutant(const Mutant& mutant, const driver::TestRunner& runner,
+                              const driver::TestSuite& suite,
                               const oracle::GoldenRecord& golden,
-                              const MutationEngine::SuiteExecutor& run_probe,
+                              const driver::TestRunner* probe_runner,
+                              const driver::TestSuite* probe_suite,
                               const oracle::GoldenRecord& probe_golden,
                               const EngineOptions& options) {
     auto& controller = MutationController::instance();
@@ -157,7 +147,7 @@ MutantOutcome evaluate_mutant(const Mutant& mutant,
 
     {
         const MutantActivation activation(mutant);
-        const driver::SuiteResult mutated = run_suite();
+        const driver::SuiteResult mutated = runner.run(suite);
         outcome.hit_by_suite = controller.hit();
         // Both legs of the differential classification come from the
         // SAME mutated run — the model is a passive side channel, so
@@ -178,7 +168,7 @@ MutantOutcome evaluate_mutant(const Mutant& mutant,
     }
 
     // Survivor: equivalence probing.
-    if (!run_probe) {
+    if (probe_runner == nullptr || probe_suite == nullptr) {
         outcome.fate =
             outcome.hit_by_suite ? MutantFate::Alive : MutantFate::NotCovered;
         meter_fate(outcome);
@@ -189,7 +179,7 @@ MutantOutcome evaluate_mutant(const Mutant& mutant,
     oracle::KillReason probe_reason = oracle::KillReason::None;
     {
         const MutantActivation activation(mutant);
-        const driver::SuiteResult probed = run_probe();
+        const driver::SuiteResult probed = probe_runner->run(*probe_suite);
         probe_hit = controller.hit();
         // The probe always uses the full oracle: equivalence is about
         // behaviour, not about which detector the evaluated suite used.

@@ -18,7 +18,6 @@
 // not-covered (counted alive, lowering the score honestly).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -127,12 +126,6 @@ struct MutationRun {
 
 class MutationEngine {
 public:
-    /// Executes one full pass of whatever suite the caller evaluates —
-    /// the engine is agnostic to *how* tests run (single-class
-    /// driver::TestRunner, interclass::SystemRunner, ...), it only needs
-    /// repeatable SuiteResults to compare.
-    using SuiteExecutor = std::function<driver::SuiteResult()>;
-
     MutationEngine(const reflect::Registry& bindings, EngineOptions options = {});
 
     /// Run mutation analysis of `mutants` against `suite`.  When
@@ -142,34 +135,27 @@ public:
                                   const std::vector<Mutant>& mutants,
                                   const driver::TestSuite* probe_suite = nullptr) const;
 
-    /// Generic variant: the caller supplies the executors (e.g. an
-    /// interclass SystemRunner closure).  `run_probe` may be empty.
-    [[nodiscard]] MutationRun run_with(const SuiteExecutor& run_suite,
-                                       const std::vector<Mutant>& mutants,
-                                       const SuiteExecutor& run_probe = {}) const;
-
 private:
     const reflect::Registry& bindings_;
     EngineOptions options_;
 };
 
 /// Single-item executor: classify ONE mutant against precomputed golden
-/// baselines.  This is the loop body of MutationEngine::run_with,
-/// exposed so the campaign scheduler (src/campaign) can shard items
-/// across workers while keeping fates bit-identical to the serial
-/// engine.  `run_probe`/`probe_golden` may be empty (no equivalence
-/// probing).
+/// baselines.  This is the loop body of MutationEngine::run, exposed so
+/// the campaign scheduler (src/campaign) can shard items across workers
+/// while keeping fates bit-identical to the serial engine.
+/// `probe_runner`/`probe_suite` may be null (no equivalence probing).
 ///
 /// Thread-safety: safe to call concurrently from multiple threads with
 /// distinct mutants, because mutant activation and hit tracking are
-/// per-thread (MutationController is thread_local).  The executors and
+/// per-thread (MutationController is thread_local).  The runners and
 /// `options.manual_oracle` must themselves be safe to invoke
 /// concurrently (the stock TestRunner::run is, as long as
 /// RunnerOptions::log_path is empty).
 [[nodiscard]] MutantOutcome evaluate_mutant(
-    const Mutant& mutant, const MutationEngine::SuiteExecutor& run_suite,
-    const oracle::GoldenRecord& golden,
-    const MutationEngine::SuiteExecutor& run_probe,
+    const Mutant& mutant, const driver::TestRunner& runner,
+    const driver::TestSuite& suite, const oracle::GoldenRecord& golden,
+    const driver::TestRunner* probe_runner, const driver::TestSuite* probe_suite,
     const oracle::GoldenRecord& probe_golden, const EngineOptions& options);
 
 }  // namespace stc::mutation

@@ -56,8 +56,9 @@ struct BuiltinTarget {
 };
 
 /// Register (or replace) a campaign target.  The mfc components
-/// ("coblist", "sortable") are pre-registered; examples add "wallet"
-/// and "shop" via stc::examples::register_example_targets().
+/// ("coblist", "sortable") are pre-registered; examples add "wallet",
+/// "shop" and "audited-wallet" via
+/// stc::examples::register_example_targets().
 void register_builtin_target(const std::string& name, BuiltinTarget target);
 
 /// Look up a target; nullptr when unknown.

@@ -1,7 +1,7 @@
 // Assembly blocks — the t-spec extension describing a *composition* of
-// components (paper §6 gestures at interclass testing; PAPERS.md's
-// "Compositional Specifications for ioco Testing" supplies the
-// semantics).  An assembly names a set of roles (instances of
+// components (the paper's §6 move from intraclass to interclass
+// testing; PAPERS.md's "Compositional Specifications for ioco Testing"
+// supplies the semantics).  An assembly names a set of roles (instances of
 // per-class t-specs), wires role-to-role calls that become *hidden*
 // internal actions of the composition, and exports the subset of role
 // methods that remain observable on the assembly's public interface:

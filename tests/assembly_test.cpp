@@ -1,21 +1,32 @@
 // stc::assembly — the synchronous product and its grammar: round-trips
 // of the assembly block, referential validation, product construction
-// over the shop trio, and every rejection path (dangling roles, cyclic
-// wiring, nondeterminism, joint death, state explosion).
+// over the shop trio, every rejection path (dangling roles, cyclic
+// wiring, nondeterminism, joint death, state explosion), and the §6
+// Wallet+Ledger system run as the audited-wallet assembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "shop_component.h"
+#include "shop_targets.h"
 #include "stc/assembly/product.h"
+#include "stc/campaign/session.h"
+#include "stc/codegen/driver_codegen.h"
+#include "stc/core/self_testable.h"
+#include "stc/mutation/engine.h"
+#include "stc/serve/builtin_host.h"
 #include "stc/support/error.h"
 #include "stc/tfm/graph.h"
 #include "stc/tspec/assembly.h"
 #include "stc/tspec/builder.h"
 #include "test_paths.h"
+#include "wallet_component.h"
 
 namespace stc {
 namespace {
@@ -328,6 +339,198 @@ TEST(ShopAssembly, DescribeMentionsPruning) {
     EXPECT_NE(text.find("conceivable tuples: 400"), std::string::npos);
     EXPECT_NE(text.find("pruned tuples"), std::string::npos);
     EXPECT_NE(text.find("hidden wires:       6"), std::string::npos);
+}
+
+// --------------------------------------------------------- audited wallet
+//
+// The paper's §6 Wallet+Ledger system as a two-role assembly: the Wallet
+// mutants of the intraclass `wallet` target, hunted through the
+// AuditedWallet facade, which also reports the audit Ledger.
+
+/// One registered campaign target run through MutationEngine::run, with
+/// the campaign's probe suite when `probe` is set.
+struct TargetRun {
+    std::size_t cases = 0;
+    std::vector<mutation::Mutant> mutants;
+    mutation::MutationRun run;
+
+    [[nodiscard]] bool killed(std::size_t i) const {
+        return run.outcomes[i].fate == mutation::MutantFate::Killed;
+    }
+};
+
+TargetRun run_target(const std::string& name, tfm::Criterion criterion,
+                     bool probe = false) {
+    examples::register_example_targets();
+    const serve::BuiltinTarget* target = serve::find_builtin_target(name);
+    const serve::BuiltinComponent holder = target->make_component();
+    driver::GeneratorOptions generator;
+    generator.criterion = criterion;
+    const driver::TestSuite suite = holder.component->generate_tests(generator);
+    std::optional<driver::TestSuite> probe_suite;
+    if (probe) {
+        probe_suite = holder.component->generate_tests(
+            campaign::probe_generator(generator));
+    }
+    TargetRun out;
+    out.cases = suite.size();
+    out.mutants = target->mutants();
+    out.run = mutation::MutationEngine(holder.component->registry())
+                  .run(suite, out.mutants, probe_suite ? &*probe_suite : nullptr);
+    return out;
+}
+
+core::SelfTestableComponent audited_wallet_component() {
+    return {examples::audited_wallet_product().spec,
+            examples::audited_wallet_binding()};
+}
+
+driver::GeneratorOptions all_links() {
+    driver::GeneratorOptions options;
+    options.criterion = tfm::Criterion::AllEdges;
+    return options;
+}
+
+TEST(AuditedWalletAssembly, ProductBuildsDeterministically) {
+    const auto p1 = examples::audited_wallet_product();
+    const auto p2 = examples::audited_wallet_product();
+    EXPECT_EQ(p1.spec.build_tfm().to_dot(), p2.spec.build_tfm().to_dot());
+    EXPECT_EQ(assembly::describe(p1.stats), assembly::describe(p2.stats));
+    EXPECT_TRUE(p1.stats.notes.empty());
+    EXPECT_EQ(p1.stats.hidden_wires, 2u);
+
+    std::vector<std::string> names;
+    for (const auto& m : p1.spec.methods) names.push_back(m.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"AuditedWallet", "~AuditedWallet",
+                                               "Deposit", "Withdraw", "Balance",
+                                               "Count", "Total"}));
+}
+
+TEST(AuditedWalletAssembly, CleanSuitePassesAndTheBalanceMatchesTheLedger) {
+    // The cross-class property: every movement books through to the
+    // ledger, so each final report shows balance == ledger total.
+    const core::SelfTestableComponent component = audited_wallet_component();
+    const driver::TestSuite suite = component.generate_tests(all_links());
+    ASSERT_EQ(suite.size(), 15u);
+    const auto result = driver::TestRunner(component.registry()).run(suite);
+    EXPECT_EQ(result.passed(), suite.size());
+    for (const auto& r : result.results) {
+        const auto balance = r.report.find("Wallet{balance=");
+        const auto total = r.report.find("total=");
+        ASSERT_NE(balance, std::string::npos) << r.report;
+        ASSERT_NE(total, std::string::npos) << r.report;
+        EXPECT_EQ(std::stoi(r.report.substr(balance + 15)),
+                  std::stoi(r.report.substr(total + 6)))
+            << r.report;
+    }
+}
+
+TEST(AuditedWalletAssembly, ReproducesTheIntraclassAndInterclassRows) {
+    const TargetRun alone =
+        run_target("wallet", tfm::Criterion::AllTransactions);
+    EXPECT_EQ(alone.cases, 12u);
+    ASSERT_EQ(alone.run.total(), 65u);
+    EXPECT_TRUE(alone.run.baseline_clean);
+    EXPECT_EQ(alone.run.killed(), 42u);
+
+    const TargetRun assembled =
+        run_target("audited-wallet", tfm::Criterion::AllEdges);
+    EXPECT_EQ(assembled.cases, 15u);
+    ASSERT_EQ(assembled.run.total(), 65u);
+    EXPECT_TRUE(assembled.run.baseline_clean);
+    EXPECT_EQ(assembled.run.killed(), 63u);
+
+    std::vector<std::string> survivors;
+    std::vector<std::string> interaction_only;
+    for (std::size_t i = 0; i < assembled.mutants.size(); ++i) {
+        const mutation::Mutant& m = assembled.mutants[i];
+        if (!assembled.killed(i)) survivors.push_back(m.id());
+        if (!assembled.killed(i) || alone.killed(i)) continue;
+        interaction_only.push_back(m.id());
+        // Every one sits on a write-through site: the ledger pointer or
+        // an amount booked with the ledger.
+        const bool deposit = m.method->method_name() == "Deposit";
+        const std::size_t first = deposit ? 2 : 3;
+        const std::size_t last = deposit ? 3 : 5;
+        EXPECT_TRUE(m.site_index >= first && m.site_index <= last) << m.id();
+    }
+    EXPECT_EQ(survivors,
+              (std::vector<std::string>{"Wallet::Withdraw@s4.IndVarRepReq.ONE",
+                                        "Wallet::Withdraw@s4.IndVarRepReq.MAXINT"}));
+    EXPECT_EQ(interaction_only.size(), 21u);
+    EXPECT_NE(std::find(interaction_only.begin(), interaction_only.end(),
+                        "Wallet::Deposit@s2.IndVarRepReq.NULL"),
+              interaction_only.end());
+
+    // Probe presumption is unsound for collaboration faults: the
+    // amplified probe of Wallet alone kills none of the 23 survivors, so
+    // all are presumed equivalent and the score reads 100% — yet the
+    // assembly kills 21 of them.
+    const TargetRun probed =
+        run_target("wallet", tfm::Criterion::AllTransactions, true);
+    EXPECT_EQ(probed.run.equivalent(), 23u);
+    EXPECT_EQ(probed.run.score(), 1.0);
+    std::size_t presumed_yet_killed = 0;
+    for (std::size_t i = 0; i < probed.mutants.size(); ++i) {
+        if (probed.run.outcomes[i].fate ==
+                mutation::MutantFate::EquivalentPresumed &&
+            assembled.killed(i)) {
+            ++presumed_yet_killed;
+        }
+    }
+    EXPECT_EQ(presumed_yet_killed, 21u);
+}
+
+TEST(AuditedWalletAssembly, GeneratedDriverCompilesAndRuns) {
+    // The product suite through the ordinary Fig. 6/7 driver generator:
+    // the facade is a plain self-testable class, so no multi-class
+    // codegen is needed.
+    if (std::system("c++ --version > /dev/null 2>&1") != 0) {
+        GTEST_SKIP() << "no c++ compiler on PATH";
+    }
+    const core::SelfTestableComponent component = audited_wallet_component();
+    const driver::TestSuite suite = component.generate_tests(all_links());
+
+    codegen::CodegenOptions cg;
+    cg.includes = {"wallet.h"};
+    cg.usings = {"stc::examples"};
+    cg.log_file = "audited_wallet_result.txt";
+    const codegen::DriverCodegen generator(component.spec(), cg);
+
+    const std::string root(STC_SOURCE_DIR);
+    {
+        std::ofstream out("/tmp/stc_audited_wallet_driver.cpp");
+        out << generator.suite_source(suite);
+    }
+    const std::string compile =
+        "c++ -std=c++20 -I " + root + "/examples/wallet -I " + root +
+        "/src/bit/include -I " + root + "/src/support/include -I " + root +
+        "/src/mutation/include -I " + root + "/src/domain/include -I " + root +
+        "/src/driver/include -I " + root + "/src/tspec/include -I " + root +
+        "/src/tfm/include -I " + root + "/src/reflect/include "
+        "/tmp/stc_audited_wallet_driver.cpp " +
+        root + "/examples/wallet/wallet.cpp " + root + "/src/bit/bit.cpp " + root +
+        "/src/mutation/controller.cpp " + root + "/src/mutation/frame.cpp " + root +
+        "/src/mutation/descriptor.cpp " + root + "/src/mutation/mutant.cpp " + root +
+        "/src/support/strings.cpp "
+        "-o /tmp/stc_audited_wallet_driver > /tmp/stc_audited_wallet_cc.log 2>&1";
+    ASSERT_EQ(std::system(compile.c_str()), 0)
+        << "generated driver failed to compile";
+    ASSERT_EQ(std::system("cd /tmp && rm -f audited_wallet_result.txt && "
+                          "./stc_audited_wallet_driver"),
+              0);
+    std::ifstream log("/tmp/audited_wallet_result.txt");
+    ASSERT_TRUE(log.good());
+    std::stringstream content;
+    content << log.rdbuf();
+    const std::string text = content.str();
+    std::size_t ok = 0;
+    for (auto at = text.find("OK!"); at != std::string::npos;
+         at = text.find("OK!", at + 1)) {
+        ++ok;
+    }
+    EXPECT_EQ(ok, suite.size());
+    EXPECT_NE(text.find("AuditedWallet{Wallet{"), std::string::npos);
 }
 
 }  // namespace

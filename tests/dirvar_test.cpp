@@ -113,7 +113,7 @@ TEST(DirVar, WalletParameterMutantsAreKilled) {
     // Deposit's amount -> ZERO: the deposit vanishes; observable in the
     // wallet balance and the ledger.
     reflect::Registry registry;
-    examples::register_wallet_classes(registry);
+    registry.add(examples::wallet_binding());
 
     examples::LedgerPool ledgers;
     const auto completions = ledgers.completions();

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "stc/domain/value.h"
-#include "stc/interclass/system_driver.h"
 #include "stc/support/rng.h"
 #include "stc/support/strings.h"
 #include "stc/support/table.h"
@@ -57,21 +56,6 @@ TEST(MiscValue, SourceFormKeepsRealMarker) {
     EXPECT_EQ(domain::Value::make_real(0.5).to_source(), "0.5");
     EXPECT_EQ(domain::Value::make_real(1e20).to_source(), "1e+20");
     EXPECT_EQ(domain::Value::make_real(3.0).to_source(), "3.0");
-}
-
-TEST(MiscSystemArg, RenderForms) {
-    interclass::SystemArg role;
-    role.role_ref = "audit";
-    EXPECT_EQ(role.render(), "@audit");
-    interclass::SystemArg value;
-    value.value = domain::Value::make_int(7);
-    EXPECT_EQ(value.render(), "7");
-
-    interclass::SystemMethodCall call;
-    call.role = "wallet";
-    call.method_name = "Attach";
-    call.arguments = {role};
-    EXPECT_EQ(call.render(), "wallet.Attach(@audit)");
 }
 
 TEST(MiscTfm, DiagnosticNamesAreStable) {

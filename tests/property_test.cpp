@@ -368,10 +368,6 @@ TEST_P(PruneEquivalence, PrunedEvaluationIsFateIdenticalPerMutant) {
     // Unpruned reference leg.
     const auto golden = oracle::GoldenRecord::from(runner.run(suite));
     const auto probe_golden = oracle::GoldenRecord::from(probe_runner.run(probe));
-    const mutation::MutationEngine::SuiteExecutor run_suite =
-        [&runner, &suite] { return runner.run(suite); };
-    const mutation::MutationEngine::SuiteExecutor run_probe =
-        [&probe_runner, &probe] { return probe_runner.run(probe); };
 
     // Pruned leg: coverage index from the instrumented golden run, then
     // the shared-prefix checkpoint ladders.
@@ -385,7 +381,8 @@ TEST_P(PruneEquivalence, PrunedEvaluationIsFateIdenticalPerMutant) {
     mutation::PruneStats stats;
     for (const auto& mutant : mutants) {
         const auto slow = mutation::evaluate_mutant(
-            mutant, run_suite, golden, run_probe, probe_golden, options);
+            mutant, runner, suite, golden, &probe_runner, &probe, probe_golden,
+            options);
         const auto fast = mutation::evaluate_mutant_pruned(
             mutant, runner, binding, suite, golden, &probe_runner, &probe,
             probe_golden, plan, options, &stats);

@@ -175,8 +175,7 @@ TEST_F(PruneTest, UnreachedMutantIsNotCoveredWithoutExecuting) {
         EXPECT_EQ(stats.pruned_pairs, uncovering.cases.size());
 
         const MutantOutcome full = evaluate_mutant(
-            mutant,
-            [&] { return runner.run(uncovering); }, golden, {}, {}, options);
+            mutant, runner, uncovering, golden, nullptr, nullptr, {}, options);
         EXPECT_EQ(full.fate, pruned.fate) << mutant.id();
         EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
@@ -231,8 +230,7 @@ TEST_F(PruneTest, MemoizationResumesPastTheUninstrumentedPrefix) {
         EXPECT_EQ(stats.memoized_calls, 3u) << mutant.id();
 
         const MutantOutcome full = evaluate_mutant(
-            mutant, [&] { return runner.run(suite); }, golden, {}, {},
-            options);
+            mutant, runner, suite, golden, nullptr, nullptr, {}, options);
         EXPECT_EQ(full.fate, pruned.fate) << mutant.id();
         EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
@@ -623,7 +621,7 @@ TEST_F(PruneRealComponent, FirstCrashKillEndsTheSuiteLeg) {
         EXPECT_TRUE(pruned.hit_by_suite) << mutant.id();
 
         const MutantOutcome full = evaluate_mutant(
-            mutant, [&] { return runner.run(suite_); }, golden, {}, {}, options);
+            mutant, runner, suite_, golden, nullptr, nullptr, {}, options);
         EXPECT_EQ(full.fate, pruned.fate) << mutant.id();
         EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();

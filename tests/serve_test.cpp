@@ -749,8 +749,8 @@ TEST(ServeBuiltinHost, RegistryServesTheExampleAssemblyTarget) {
     ASSERT_NE(wallet, nullptr);
     EXPECT_FALSE(wallet->assembly);
     const std::vector<std::string> names = builtin_target_names();
-    EXPECT_EQ(names, (std::vector<std::string>{"coblist", "shop", "sortable",
-                                               "wallet"}));
+    EXPECT_EQ(names, (std::vector<std::string>{"audited-wallet", "coblist", "shop",
+                                               "sortable", "wallet"}));
 
     // The worker-side reconstruction path (`open`) works for the
     // assembly product, and the ioco channel reaches the dispatch

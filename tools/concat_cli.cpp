@@ -91,7 +91,8 @@ int usage(std::ostream& os) {
           "                 concat replan OLD.tspec --new NEW.tspec --frozen S.txt\n"
           "                 [-o STILL_VALID.txt]\n"
           "  campaign       parallel mutation campaign over a registered\n"
-          "                 component (coblist, sortable, wallet, shop):\n"
+          "                 component (coblist, sortable, wallet, shop,\n"
+          "                 audited-wallet):\n"
           "                 concat campaign <component> [--assembly] [--jobs N]\n"
           "                 [--seed N] [--cases N] [--probe] [--resume FILE]\n"
           "                 [--shrink-corpus DIR] [--max-shrink-steps N]\n"
@@ -710,10 +711,10 @@ int cmd_transactions(const Options& options, const tspec::ComponentSpec& spec) {
 
 // `concat assemble ASSEMBLY.tspec`: parse an assembly block, resolve
 // each role's t-spec and build the synchronous product (stc::assembly).
-// Roles with a `spec "file"` clause load that t-spec relative to the
-// assembly file's directory; roles without one resolve to the built-in
-// example specs by class name (Wallet, Ledger, Inventory,
-// StockControl).  Default output is the construction stats plus the
+// A role whose `Role (id, 'Class', 'file.tspec')` record names a file
+// loads that t-spec relative to the assembly file's directory; roles
+// without one resolve to the built-in shop role specs by class name
+// (Wallet, Ledger, Inventory, StockControl).  Default output is the construction stats plus the
 // synthesized spec's validation verdict; --dot renders the product TFM
 // and --transactions enumerates its transactions, exactly as the plain
 // `dot` / `transactions` commands do for a single-class t-spec.
@@ -865,8 +866,8 @@ int check_assembly_flag(const std::string& command, const Options& options,
 
 // `concat campaign <component>`: run an interface-mutation campaign
 // over a registered target — the built-in MFC components (coblist,
-// sortable), the intraclass wallet, or the shop assembly product
-// (--assembly) — sharded across --jobs workers.  The report (stdout or
+// sortable), the intraclass wallet, or the shop and audited-wallet
+// assembly products (--assembly) — sharded across --jobs workers.  The report (stdout or
 // -o) lists one line per mutant in enumeration order plus the Table 2/3
 // aggregation — byte-identical for any --jobs value, tracing on or off;
 // scheduling-dependent detail (worker ids, wall times, queue depths)
@@ -1786,9 +1787,9 @@ int dispatch(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // The example targets (wallet, shop) join the pre-registered mfc
-    // ones before any command resolves a component name — including a
-    // serve daemon's handshake-time lookup.
+    // The example targets (wallet, shop, audited-wallet) join the
+    // pre-registered mfc ones before any command resolves a component
+    // name — including a serve daemon's handshake-time lookup.
     stc::examples::register_example_targets();
 
     auto options = parse_args(argc, argv);
