@@ -406,15 +406,33 @@ TEST(AuditedWalletAssembly, ProductBuildsDeterministically) {
                                                "Count", "Total"}));
 }
 
-TEST(AuditedWalletAssembly, CleanSuitePassesAndTheBalanceMatchesTheLedger) {
-    // The cross-class property: every movement books through to the
-    // ledger, so each final report shows balance == ledger total.
+/// The product's clean all-links suite run through the ordinary runner.
+driver::SuiteResult run_clean_system_suite() {
     const core::SelfTestableComponent component = audited_wallet_component();
     const driver::TestSuite suite = component.generate_tests(all_links());
-    ASSERT_EQ(suite.size(), 15u);
-    const auto result = driver::TestRunner(component.registry()).run(suite);
-    EXPECT_EQ(result.passed(), suite.size());
+    EXPECT_EQ(suite.size(), 15u);
+    return driver::TestRunner(component.registry()).run(suite);
+}
+
+TEST(SystemGen, HealthySystemRunsGreen) {
+    const driver::SuiteResult result = run_clean_system_suite();
+    EXPECT_EQ(result.failed(), 0u);
+    EXPECT_EQ(result.passed(), result.results.size());
+    // Reports contain both roles' state.
     for (const auto& r : result.results) {
+        EXPECT_NE(r.report.find("Wallet{"), std::string::npos) << r.report;
+        EXPECT_NE(r.report.find("Ledger{"), std::string::npos) << r.report;
+    }
+}
+
+TEST(SystemGen, CrossClassConsistencyHoldsOnAuditedPaths) {
+    // The cross-class property: every movement books through to the
+    // ledger, so each final report shows balance == ledger total.  The
+    // facade attaches the ledger at birth, so every path is audited.
+    const driver::SuiteResult result = run_clean_system_suite();
+    ASSERT_FALSE(result.results.empty());
+    for (const auto& r : result.results) {
+        EXPECT_NE(r.report.find("audited=yes"), std::string::npos) << r.report;
         const auto balance = r.report.find("Wallet{balance=");
         const auto total = r.report.find("total=");
         ASSERT_NE(balance, std::string::npos) << r.report;
