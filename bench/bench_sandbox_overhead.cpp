@@ -3,8 +3,8 @@
 // under `--isolate` (forked sandbox workers, stc::sandbox), at 1 and 2
 // jobs.  Reported per worker count:
 //   - per-mutant wall cost of both engines and the isolation multiple
-//     (fork + pipe IPC + waitpid per item is the price of surviving a
-//     real crash);
+//     (one pipe round trip per item, plus a fork per worker spawn or
+//     respawn, is the price of surviving a real crash);
 //   - the determinism gate: for these benign mutants the isolated run
 //     must reproduce the in-process fates and kill reasons bit-for-bit
 //     — isolation is an execution detail, never a science change.

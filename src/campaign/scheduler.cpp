@@ -184,6 +184,8 @@ std::size_t run_sandbox(const Session& session, Ledger& ledger,
                        .set("worker", static_cast<std::uint64_t>(worker)));
     };
 
+    // Declared after items_span: the destructor's reaping and
+    // worker-exit events stay inside the item phase.
     sandbox::WorkerPool pool(job, std::move(pool_options));
     pool.run(payloads, [&](std::size_t slot, sandbox::TaskResult result) {
         mutation::MutantOutcome outcome;

@@ -133,7 +133,6 @@ struct CaseCheckpoint {
 
 struct RunnerOptions {
     bool check_invariants = true;   ///< invariant before/after every call (Fig. 6)
-    bool capture_reports = true;    ///< call Reporter at end of each case
     bool observe_each_call = false; ///< additionally capture state after every call
     /// When non-empty, the suite log is also appended to this file — the
     /// literal "Result.txt" behaviour of the paper's generated drivers.

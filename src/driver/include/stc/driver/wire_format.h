@@ -1,10 +1,16 @@
 // Shared text wire-format helpers for the concat-* persistence formats
-// (suite_io, the fuzz corpus): percent-encoding of field separators and
-// the typed Value encoding.
+// (suite_io, the fuzz corpus, golden_io): percent-encoding of field
+// separators, whole-field number parsing, and the typed Value encoding.
+// Malformed input throws stc::Error naming the line, never a standard
+// library exception.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "stc/domain/value.h"
 #include "stc/support/error.h"
@@ -27,16 +33,38 @@ inline std::string encode(const std::string& s) {
     return out;
 }
 
-inline std::string decode(const std::string& s) {
+/// Parse all of `field` as a number; anything else (empty, trailing
+/// bytes, out of range) throws naming `lineno`.
+template <typename T>
+T parse_number(std::string_view field, int lineno) {
+    T value{};
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+        throw Error("line " + std::to_string(lineno) + ": bad number '" +
+                    std::string(field) + "'");
+    }
+    return value;
+}
+
+/// Inverse of encode: every '%' must be followed by two hex digits.
+inline std::string decode(const std::string& s, int lineno) {
     std::string out;
     out.reserve(s.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '%' && i + 2 < s.size()) {
-            out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-            i += 2;
-        } else {
+        if (s[i] != '%') {
             out += s[i];
+            continue;
         }
+        unsigned byte = 0;
+        const char* hex = s.data() + i + 1;
+        if (i + 2 >= s.size() ||
+            std::from_chars(hex, hex + 2, byte, 16).ptr != hex + 2) {
+            throw Error("line " + std::to_string(lineno) +
+                        ": bad percent escape in '" + s + "'");
+        }
+        out += static_cast<char>(byte);
+        i += 2;
     }
     return out;
 }
@@ -69,10 +97,12 @@ inline domain::Value decode_value(const std::string& field, int lineno) {
     const std::string payload = field.substr(2);
     switch (field[0]) {
         case 'E': return {};
-        case 'I': return domain::Value::make_int(std::stoll(payload));
-        case 'R': return domain::Value::make_real(std::stod(payload));
-        case 'S': return domain::Value::make_string(decode(payload));
-        case 'P': return domain::Value::make_pointer(nullptr, decode(payload));
+        case 'I':
+            return domain::Value::make_int(parse_number<std::int64_t>(payload, lineno));
+        case 'R':
+            return domain::Value::make_real(parse_number<double>(payload, lineno));
+        case 'S': return domain::Value::make_string(decode(payload, lineno));
+        case 'P': return domain::Value::make_pointer(nullptr, decode(payload, lineno));
         default:
             throw Error("line " + std::to_string(lineno) + ": unknown value kind '" +
                         field.substr(0, 1) + "'");

@@ -392,9 +392,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             if (call.is_destructor) {
                 // Observable state is captured before death (Fig. 6 calls
                 // Reporter, then deletes the CUT).
-                if (options_.capture_reports) {
-                    state_report = capture_state(binding, cut.get());
-                }
+                state_report = capture_state(binding, cut.get());
                 cut.reset();
                 continue;
             }
@@ -474,9 +472,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                     observer->on_call(test_case.calls.size());
                 }
                 if (capturing) capture_at(test_case.calls.size());
-                if (options_.capture_reports) {
-                    state_report = capture_state(binding, cut.get());
-                }
+                state_report = capture_state(binding, cut.get());
                 cut.reset();
             }
             if (options_.promote_divergence &&
@@ -491,12 +487,12 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     } catch (const bit::AssertionViolation& av) {
         result.assertion_kind = av.assertion_kind();
         record_failure(Verdict::AssertionViolation, av.what());
-        if (options_.capture_reports && cut.alive()) {
+        if (cut.alive()) {
             state_report = capture_state(binding, cut.get());
         }
     } catch (const bit::QuiescenceViolation& qv) {
         record_failure(Verdict::IllegalQuiescence, qv.what());
-        if (options_.capture_reports && cut.alive()) {
+        if (cut.alive()) {
             state_report = capture_state(binding, cut.get());
         }
     } catch (const CrashSignal& cs) {
@@ -506,7 +502,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         record_failure(Verdict::SetupError, re.what());
     } catch (const std::exception& e) {
         record_failure(Verdict::UncaughtException, e.what());
-        if (options_.capture_reports && cut.alive()) {
+        if (cut.alive()) {
             state_report = capture_state(binding, cut.get());
         }
     }

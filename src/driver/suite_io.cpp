@@ -15,6 +15,7 @@ using wire::decode;
 using wire::decode_value;
 using wire::encode;
 using wire::encode_value;
+using wire::parse_number;
 
 constexpr const char* kMagic = "concat-suite 1";
 
@@ -70,13 +71,14 @@ TestSuite load_suite(std::istream& is) {
         if (support::starts_with(line, "class ")) {
             suite.class_name = line.substr(6);
         } else if (support::starts_with(line, "seed ")) {
-            suite.seed = std::stoull(line.substr(5));
+            suite.seed = parse_number<std::uint64_t>(line.substr(5), lineno);
         } else if (support::starts_with(line, "model ")) {
             const auto fields = support::split(line.substr(6), ' ');
             if (fields.size() != 3) fail("model line needs 3 fields");
-            suite.model_nodes = std::stoull(fields[0]);
-            suite.model_links = std::stoull(fields[1]);
-            suite.transactions_enumerated = std::stoull(fields[2]);
+            suite.model_nodes = parse_number<std::size_t>(fields[0], lineno);
+            suite.model_links = parse_number<std::size_t>(fields[1], lineno);
+            suite.transactions_enumerated =
+                parse_number<std::size_t>(fields[2], lineno);
         } else if (support::starts_with(line, "case ")) {
             const auto fields = support::split(line.substr(5), '|');
             if (fields.size() != 4 && fields.size() != 5) {
@@ -84,14 +86,15 @@ TestSuite load_suite(std::istream& is) {
             }
             TestCase tc;
             tc.id = fields[0];
-            tc.transaction_text = decode(fields[1]);
+            tc.transaction_text = decode(fields[1], lineno);
             if (!fields[2].empty()) {
                 for (const auto& idx : support::split(fields[2], ',')) {
-                    tc.transaction.path.push_back(std::stoull(idx));
+                    tc.transaction.path.push_back(
+                        parse_number<tfm::NodeIndex>(idx, lineno));
                 }
             }
             tc.needs_completion = fields[3] == "1";
-            if (fields.size() == 5) tc.entry_state = decode(fields[4]);
+            if (fields.size() == 5) tc.entry_state = decode(fields[4], lineno);
             suite.cases.push_back(std::move(tc));
             current = &suite.cases.back();
         } else if (support::starts_with(line, "call ")) {
@@ -100,7 +103,7 @@ TestSuite load_suite(std::istream& is) {
             if (fields.size() < 4) fail("call line needs at least 4 fields");
             MethodCall call;
             call.method_id = fields[0];
-            call.method_name = decode(fields[1]);
+            call.method_name = decode(fields[1], lineno);
             call.is_constructor = fields[2] == "1";
             call.is_destructor = fields[3] == "1";
             // Field 4 is the rejection flag ("0"/"1"); argument fields

@@ -89,9 +89,13 @@ CorpusEntry load_entry(std::istream& is) {
         }
         if (line == kSuiteMagic) {
             // The remainder of the stream is a standard suite block; hand
-            // it to the suite loader verbatim (magic line re-attached).
+            // it to the suite loader verbatim (magic line re-attached),
+            // behind one blank line per header line so the loader's
+            // error messages carry this file's line numbers.
             std::ostringstream rest;
-            rest << line << "\n" << is.rdbuf();
+            rest << std::string(static_cast<std::size_t>(lineno - 1), '\n')
+                 << line << "\n"
+                 << is.rdbuf();
             std::istringstream suite_in(rest.str());
             entry.suite = driver::load_suite(suite_in);
             if (!saw_verdict) fail("missing verdict header");
@@ -106,11 +110,11 @@ CorpusEntry load_entry(std::istream& is) {
             entry.verdict = *v;
             saw_verdict = true;
         } else if (support::starts_with(line, "method ")) {
-            entry.failed_method = driver::wire::decode(line.substr(7));
+            entry.failed_method = driver::wire::decode(line.substr(7), lineno);
         } else if (support::starts_with(line, "mutant ")) {
-            entry.mutant_id = driver::wire::decode(line.substr(7));
+            entry.mutant_id = driver::wire::decode(line.substr(7), lineno);
         } else if (support::starts_with(line, "reason ")) {
-            entry.kill_reason = driver::wire::decode(line.substr(7));
+            entry.kill_reason = driver::wire::decode(line.substr(7), lineno);
         } else {
             fail("unrecognized header '" + line + "'");
         }

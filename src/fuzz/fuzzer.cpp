@@ -112,11 +112,11 @@ bool steer_to_death(const tspec::ComponentSpec& spec, const tfm::Graph& graph,
                     const std::vector<std::optional<tfm::NodeIndex>>& hops,
                     const driver::CompletionRegistry* completions,
                     support::Pcg32& rng, const obs::Context& obs,
-                    std::size_t max_path_length, PathCase* pc) {
+                    PathCase* pc) {
     tfm::NodeIndex current = pc->path.back();
     while (!graph.is_death(current)) {
         const auto hop = hops[current];
-        if (!hop || pc->path.size() >= max_path_length) return false;
+        if (!hop || pc->path.size() >= tfm::kMaxPathLength) return false;
         current = *hop;
         pc->path.push_back(current);
         pc->groups.push_back(
@@ -175,7 +175,6 @@ FuzzResult Fuzzer::run() {
 
     const tfm::Graph graph = spec_.build_tfm();
     const auto hops = graph.next_hop_to_death();
-    const std::size_t max_len = options_.generator.enumeration.max_path_length;
 
     // The exploration stream is decorrelated from the generator's seed so
     // mutated draws never replay the seed suite's value sequence.
@@ -223,14 +222,14 @@ FuzzResult Fuzzer::run() {
             const std::size_t extra = 1 + rng.index(3);
             for (std::size_t step = 0; step < extra; ++step) {
                 const auto& next = graph.successors(pc.path.back());
-                if (next.empty() || pc.path.size() >= max_len) break;
+                if (next.empty() || pc.path.size() >= tfm::kMaxPathLength) break;
                 const tfm::NodeIndex chosen = next[rng.index(next.size())];
                 pc.path.push_back(chosen);
                 pc.groups.push_back(synth_group(spec_, graph, chosen,
                                                 completions_, rng, options_.obs));
             }
             if (!steer_to_death(spec_, graph, hops, completions_, rng,
-                                options_.obs, max_len, &pc)) {
+                                options_.obs, &pc)) {
                 return std::nullopt;
             }
         } else if (op == 2) {
@@ -240,7 +239,7 @@ FuzzResult Fuzzer::run() {
             pc.path.resize(cut + 1);
             pc.groups.resize(cut + 1);
             if (!steer_to_death(spec_, graph, hops, completions_, rng,
-                                options_.obs, max_len, &pc)) {
+                                options_.obs, &pc)) {
                 return std::nullopt;
             }
         } else {
@@ -263,7 +262,7 @@ FuzzResult Fuzzer::run() {
             pc.path.insert(pc.path.end(), oc.path.begin() + j + 1, oc.path.end());
             pc.groups.insert(pc.groups.end(), oc.groups.begin() + j + 1,
                              oc.groups.end());
-            if (pc.path.size() > max_len) return std::nullopt;
+            if (pc.path.size() > tfm::kMaxPathLength) return std::nullopt;
         }
 
         if (!graph.is_valid_transaction(pc.path)) return std::nullopt;
@@ -274,10 +273,6 @@ FuzzResult Fuzzer::run() {
 
     std::size_t seed_cursor = 0;
     while (out.stats.iterations < options_.iterations) {
-        if (options_.max_findings != 0 &&
-            out.findings.size() >= options_.max_findings) {
-            break;
-        }
         const std::size_t iteration = out.stats.iterations;
         const obs::SpanScope iter_span(options_.obs.tracer, "fuzz-iteration",
                                        "it" + std::to_string(iteration));

@@ -49,13 +49,11 @@ struct FuzzOptions {
     /// Test-case executions spent on exploration (shrinking has its own
     /// budget and is not counted here).
     std::size_t iterations = 1000;
-    /// Options for the seed suite (enumeration bounds also cap mutated
-    /// path lengths).
+    /// Options for the seed suite.  Mutated paths are capped at
+    /// tfm::kMaxPathLength nodes.
     driver::GeneratorOptions generator;
     /// Shrink budget per finding, in predicate evaluations.
     std::size_t max_shrink_steps = 512;
-    /// Cap on distinct findings before the run stops early (0 = none).
-    std::size_t max_findings = 0;
     /// Recorded in findings/corpus entries when fuzzing a mutant.
     std::string mutant_id;
     /// Observability: "fuzz-iteration" spans plus fuzz.* counters.

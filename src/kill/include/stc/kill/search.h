@@ -86,12 +86,6 @@ struct SearchOptions {
     std::size_t budget_states = 4096;
     /// Longest explored path, in TFM nodes after birth.
     std::size_t max_depth = 12;
-    /// Enable the phase-2 spec-alphabet widening.
-    bool widen = true;
-    /// Argument-value assignments tried per mutant: round r re-derives
-    /// every method's arguments from a fresh per-round seed, so killers
-    /// needing particular values get value_rounds chances.
-    std::size_t value_rounds = 2;
     /// Execution environment for candidate runs.  `runner.model` (when
     /// set) both feeds the product-state abstraction and arms the
     /// differential oracle; promote_divergence is forced off internally.

@@ -27,6 +27,11 @@ const char* to_string(SearchStatus status) noexcept {
 
 namespace {
 
+/// Argument-value assignments tried per mutant: round r re-derives every
+/// method's arguments from a fresh per-round seed, so killers needing
+/// particular values get this many chances.
+constexpr std::size_t kValueRounds = 2;
+
 /// Canonical argument assignment for one (mutant, round): every method
 /// gets ONE positive call (and, when the domain admits an out-of-domain
 /// value, one negative call) synthesized up front from a seed derived
@@ -518,7 +523,7 @@ SearchOutcome ProductSearch::find_killer(const mutation::Mutant& mutant) const {
 
     bool budget_hit = false;
     const std::string mutant_id = mutant.id();
-    for (std::size_t round = 0; round < options_.value_rounds; ++round) {
+    for (std::size_t round = 0; round < kValueRounds; ++round) {
         ++out.stats.rounds;
         const CallTables tables = build_tables(spec_, completions_,
                                                options_.seed, mutant_id, round);
@@ -528,13 +533,11 @@ SearchOutcome ProductSearch::find_killer(const mutation::Mutant& mutant) const {
             budget_hit = true;
             break;
         }
-        if (options_.widen) {
-            end = Phase(search, tables, widened_, widened_hops_, true).run();
-            if (end == PhaseEnd::Verified) break;
-            if (end == PhaseEnd::Budget) {
-                budget_hit = true;
-                break;
-            }
+        end = Phase(search, tables, widened_, widened_hops_, true).run();
+        if (end == PhaseEnd::Verified) break;
+        if (end == PhaseEnd::Budget) {
+            budget_hit = true;
+            break;
         }
     }
 

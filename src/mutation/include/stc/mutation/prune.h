@@ -117,12 +117,6 @@ struct PruneStats {
 };
 
 struct PrunePlanOptions {
-    /// Cap on checkpoints captured per distinct case (boundaries are the
-    /// case's distinct first-hit call indices, shallowest first).
-    std::size_t max_checkpoints_per_case = 6;
-    /// Capture no checkpoint shallower than this body-call index
-    /// (resuming at call 1 saves only the constructor).
-    std::size_t min_resume_call = 2;
     /// Disable the memoization half entirely (pruning still applies);
     /// set when a lockstep model is attached to the runner.
     bool memoize = true;

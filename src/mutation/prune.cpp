@@ -10,6 +10,13 @@ namespace stc::mutation {
 
 namespace {
 
+/// Cap on checkpoints captured per distinct case (boundaries are the
+/// case's distinct first-hit call indices, shallowest first).
+constexpr std::size_t kMaxCheckpointsPerCase = 6;
+/// Capture no checkpoint shallower than this body-call index (resuming
+/// at call 1 saves only the constructor).
+constexpr std::size_t kMinResumeCall = 2;
+
 /// Identity-exact encoding of one argument value.  Pointer/object
 /// arguments encode their *address*: two prefixes only share a
 /// checkpoint when they pass the very same objects, which is the only
@@ -48,7 +55,6 @@ std::string prefix_signature(const driver::TestCase& tc, std::size_t depth) {
 std::vector<CasePlan> build_ladders(
     const driver::TestRunner& runner, const reflect::ClassBinding& binding,
     const driver::TestSuite& suite, const CoverageIndex& coverage,
-    const PrunePlanOptions& options,
     std::map<std::string, driver::CaseCheckpoint>& cache) {
     std::vector<CasePlan> plans(suite.cases.size());
     for (std::size_t i = 0; i < suite.cases.size(); ++i) {
@@ -62,14 +68,14 @@ std::vector<CasePlan> build_ladders(
         std::set<std::size_t> bounds;
         const std::size_t deepest = tc.calls.size() - 1;
         for (const auto& [key, h] : cc->first_hit) {
-            if (h >= options.min_resume_call && h <= deepest) bounds.insert(h);
+            if (h >= kMinResumeCall && h <= deepest) bounds.insert(h);
         }
 
         std::vector<driver::CaseCheckpoint>& ladder = plans[i].checkpoints;
         std::vector<std::size_t> need;
         std::size_t kept = 0;
         for (const std::size_t k : bounds) {
-            if (kept >= options.max_checkpoints_per_case) break;
+            if (kept >= kMaxCheckpointsPerCase) break;
             ++kept;
             const auto it = cache.find(prefix_signature(tc, k));
             if (it != cache.end()) {
@@ -200,12 +206,12 @@ PrunePlan build_prune_plan(const driver::TestRunner& runner,
     {
         std::map<std::string, driver::CaseCheckpoint> cache;
         plan.case_plans =
-            build_ladders(runner, binding, suite, plan.coverage, options, cache);
+            build_ladders(runner, binding, suite, plan.coverage, cache);
     }
     if (probe_suite != nullptr && probe_runner != nullptr) {
         std::map<std::string, driver::CaseCheckpoint> cache;
         plan.probe_case_plans = build_ladders(*probe_runner, binding, *probe_suite,
-                                              plan.probe_coverage, options, cache);
+                                              plan.probe_coverage, cache);
     }
     return plan;
 }

@@ -112,13 +112,14 @@ void MutationTable::render(std::ostream& os, const MutationRun& run) const {
 
     table.render(os);
 
-    os << "kills by reason: crash=" << run.kills_by(oracle::KillReason::Crash)
-       << "  assertion=" << run.kills_by(oracle::KillReason::Assertion)
-       << "  illegal-quiescence="
-       << run.kills_by(oracle::KillReason::IllegalQuiescence)
-       << "  model-divergence=" << run.kills_by(oracle::KillReason::ModelDivergence)
-       << "  output-diff=" << run.kills_by(oracle::KillReason::OutputDiff)
-       << "  manual-oracle=" << run.kills_by(oracle::KillReason::ManualOracle) << "\n";
+    os << "kills by reason:";
+    const char* separator = " ";
+    for (const oracle::KillReason reason : oracle::kAllKillReasons) {
+        if (reason == oracle::KillReason::None) continue;
+        os << separator << oracle::to_string(reason) << '=' << run.kills_by(reason);
+        separator = "  ";
+    }
+    os << "\n";
     os << "oracle strength: killed-only-by-model=" << run.kills_model_only()
        << "\n";
 

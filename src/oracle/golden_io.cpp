@@ -1,10 +1,10 @@
 #include "stc/oracle/golden_io.h"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "stc/driver/wire_format.h"
 #include "stc/support/strings.h"
 
 namespace stc::oracle {
@@ -13,42 +13,8 @@ namespace {
 
 constexpr const char* kMagic = "concat-golden 1";
 
-std::string encode(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '%' || c == '|' || c == '\n' || c == '\r') {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "%%%02x", static_cast<unsigned char>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string decode(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '%' && i + 2 < s.size()) {
-            out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-            i += 2;
-        } else {
-            out += s[i];
-        }
-    }
-    return out;
-}
-
-driver::Verdict parse_verdict(const std::string& word, int lineno) {
-    for (const driver::Verdict v : driver::kAllVerdicts) {
-        if (word == to_string(v)) return v;
-    }
-    throw Error("golden line " + std::to_string(lineno) + ": unknown verdict '" +
-                word + "'");
-}
+using driver::wire::decode;
+using driver::wire::encode;
 
 }  // namespace
 
@@ -79,9 +45,14 @@ GoldenRecord load_golden(std::istream& is) {
         }
         driver::TestResult r;
         r.case_id = fields[0];
-        r.verdict = parse_verdict(fields[1], lineno);
-        r.report = decode(fields[2]);
-        r.message = decode(fields[3]);
+        const auto verdict = driver::verdict_from_string(fields[1]);
+        if (!verdict) {
+            throw Error("golden line " + std::to_string(lineno) +
+                        ": unknown verdict '" + fields[1] + "'");
+        }
+        r.verdict = *verdict;
+        r.report = decode(fields[2], lineno);
+        r.message = decode(fields[3], lineno);
         synthetic.results.push_back(std::move(r));
     }
     return GoldenRecord::from(synthetic);

@@ -100,11 +100,6 @@ inline constexpr KillReason kAllKillReasons[] = {
 struct OracleConfig {
     bool use_crashes = true;
     bool use_assertions = true;
-    /// ioco quiescence channel: an observed Verdict::IllegalQuiescence
-    /// the baseline did not show kills with KillReason::IllegalQuiescence.
-    /// Vacuous outside assembly-level testing (single-class components
-    /// never raise the quiescence BIT).
-    bool use_quiescence = true;
     bool use_output_diff = true;
     /// Differential channel: a run whose TestResult::model_divergence is
     /// non-empty while the golden baseline's is empty kills with

@@ -76,8 +76,7 @@ KillReason classify(const GoldenEntry& golden, const driver::TestResult& observe
     // absorbed while the original emitted.  Like an assertion it fires
     // inside the (assembly-level) built-in test, but the signal is the
     // *absence* of an output, so it ranks just below a violated contract.
-    if (config.use_quiescence &&
-        observed.verdict == Verdict::IllegalQuiescence &&
+    if (observed.verdict == Verdict::IllegalQuiescence &&
         golden.verdict != Verdict::IllegalQuiescence) {
         return KillReason::IllegalQuiescence;
     }

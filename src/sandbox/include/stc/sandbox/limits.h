@@ -29,10 +29,6 @@ struct SandboxLimits {
     /// Child address-space cap in MiB (RLIMIT_AS).  0 inherits the
     /// parent's limit.
     std::uint64_t rlimit_as_mb = 0;
-    /// Child CPU-seconds cap (RLIMIT_CPU).  0 derives it from
-    /// timeout_ms (rounded up, +1s slack) so a runaway worker dies even
-    /// if the parent never gets to enforce the wall deadline.
-    std::uint64_t rlimit_cpu_s = 0;
 };
 
 /// Reserved child exit codes (chosen away from 0/1/2 and shell codes).

@@ -1,14 +1,22 @@
-// Fork-based sandbox worker pool (the isolated execution engine behind
-// `concat campaign --isolate` and `concat fuzz --isolate`).
+// Fork-based sandbox worker pool: the one isolated execution engine,
+// behind both `concat campaign --isolate` and `concat fuzz --isolate`.
 //
-// The pool pre-forks N persistent workers.  Each worker loops
-// "read request frame, run the job closure, write reply frame"
-// (ipc.h); the parent runs a single-threaded poll() event loop that
-// dispatches payloads to idle workers, enforces per-item wall-clock
-// deadlines (SIGKILL escalation), decodes every child death
-// (limits.h), respawns the worker, and reports exactly one TaskResult
-// per payload.  A crashing, hanging, or allocation-bombing job kills
-// only its worker — never the run.
+// The pool owns N worker slots, fixed at construction.  Each worker is
+// a persistent process that loops "read request frame, run the job
+// closure, write reply frame" (ipc.h).  run() is a single-threaded
+// poll() event loop in the parent: it forks a worker into any slot
+// whose worker is dead (lazily, only when there is a payload to hand
+// it), dispatches payloads to idle workers, enforces per-item
+// wall-clock deadlines (SIGKILL escalation), decodes every child death
+// (limits.h), and reports exactly one TaskResult per payload.  A
+// crashing, hanging, or allocation-bombing job kills only its worker —
+// never the run.
+//
+// Workers live as long as the pool.  run() returns with its live
+// workers still running, so successive run() calls reuse them (the
+// fuzz loop calls run() once per case); the destructor closes the
+// request pipes, reaps every worker, and emits its `worker-exit`
+// through PoolOptions::on_event — which must therefore outlive the pool.
 //
 // Why not fork from the work-stealing thread pool?  fork() in a
 // multithreaded process clones only the calling thread; any lock held
@@ -67,7 +75,8 @@ struct PoolOptions {
     /// Metrics/trace instrumentation (sandbox.* counters, worker spans).
     obs::Context obs;
     /// Worker lifecycle callback (telemetry bridge).  Runs on the
-    /// parent thread.
+    /// parent thread, in run() and in the destructor, so it must not
+    /// throw.
     std::function<void(const WorkerEvent&)> on_event;
     /// Called when payload `item` is handed to worker `worker` —
     /// the isolated twin of the thread pool's item-start event.
@@ -89,9 +98,10 @@ struct TaskResult {
     [[nodiscard]] std::string outcome() const { return outcome_kind(exit); }
 };
 
+/// Totals over the pool's lifetime, across run() calls.
 struct PoolStats {
     std::size_t spawned = 0;    ///< total forks, including respawns
-    std::size_t respawned = 0;  ///< forks replacing a dead worker
+    std::size_t respawned = 0;  ///< forks into a slot that had a worker before
     std::size_t kills = 0;      ///< deadline SIGKILLs sent
     std::size_t crashes = 0;    ///< items ending in CrashSignal
     std::size_t timeouts = 0;   ///< items ending in Timeout
@@ -101,7 +111,9 @@ struct PoolStats {
 
 class WorkerPool {
 public:
+    /// Sizes the worker slots; forks nothing yet.
     WorkerPool(Job job, PoolOptions options);
+    /// Shuts every live worker down and reaps it (see the file comment).
     ~WorkerPool();
 
     WorkerPool(const WorkerPool&) = delete;
@@ -110,33 +122,11 @@ public:
     /// Execute every payload in a sandbox worker.  `on_result` fires on
     /// the parent thread exactly once per payload, in completion order
     /// (callers needing deterministic output must slot results by
-    /// index).  Returns when all payloads have a result.
+    /// index).  Returns when all payloads have a result, leaving live
+    /// workers running for the next call.
     void run(const std::vector<std::string>& payloads,
              const std::function<void(std::size_t index, TaskResult)>&
                  on_result);
-
-    [[nodiscard]] const PoolStats& stats() const noexcept;
-
-private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/// One persistent sandbox worker with a synchronous request/reply
-/// interface — the fuzz-loop flavour of the pool, where the caller
-/// needs each verdict before choosing the next input.  A dead worker is
-/// respawned on the next call; only the call that killed it reports a
-/// non-Ok result.
-class SandboxRunner {
-public:
-    SandboxRunner(Job job, SandboxLimits limits,
-                  std::function<void(const WorkerEvent&)> on_event = {});
-    ~SandboxRunner();
-
-    SandboxRunner(const SandboxRunner&) = delete;
-    SandboxRunner& operator=(const SandboxRunner&) = delete;
-
-    [[nodiscard]] TaskResult call(const std::string& payload);
 
     [[nodiscard]] const PoolStats& stats() const noexcept;
 

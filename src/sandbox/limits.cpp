@@ -79,11 +79,11 @@ void apply_limits_in_child(const SandboxLimits& limits) noexcept {
         ::setrlimit(RLIMIT_AS, &as);
     }
 
-    std::uint64_t cpu_s = limits.rlimit_cpu_s;
-    if (cpu_s == 0 && limits.timeout_ms != 0) {
-        cpu_s = (limits.timeout_ms + 999) / 1000 + 1;
-    }
-    if (cpu_s != 0) {
+    // Child CPU-seconds cap (RLIMIT_CPU): the wall deadline rounded up,
+    // +1s slack, so a runaway worker dies even if the parent never gets
+    // to enforce the deadline.
+    if (limits.timeout_ms != 0) {
+        const std::uint64_t cpu_s = (limits.timeout_ms + 999) / 1000 + 1;
         rlimit cpu{};
         cpu.rlim_cur = static_cast<rlim_t>(cpu_s);
         cpu.rlim_max = static_cast<rlim_t>(cpu_s + 1);  // hard SIGKILL backstop

@@ -253,7 +253,7 @@ std::vector<Transaction> Graph::enumerate_transactions(
             while (top.next_successor < succ.size()) {
                 const NodeIndex next = succ[top.next_successor++];
                 if (visits[next] >= options.max_node_visits) continue;
-                if (path.size() >= options.max_path_length) continue;
+                if (path.size() >= kMaxPathLength) continue;
                 push(next);
                 if (is_death(next)) out.push_back(Transaction{path});
                 advanced = true;

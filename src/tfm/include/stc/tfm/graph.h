@@ -45,6 +45,10 @@ struct Transaction {
     friend bool operator==(const Transaction&, const Transaction&) = default;
 };
 
+/// Longest transaction, in nodes, that the enumerator (and the fuzzer's
+/// path mutations) will build.
+inline constexpr std::size_t kMaxPathLength = 256;
+
 /// Bounds for transaction enumeration.  Cyclic TFMs have infinitely many
 /// paths; the enumerator unrolls cycles up to `max_node_visits` visits of
 /// the same node per path (1 = simple paths only, 2 = one loop
@@ -52,7 +56,6 @@ struct Transaction {
 struct EnumerationOptions {
     std::size_t max_node_visits = 2;
     std::size_t max_transactions = 100000;
-    std::size_t max_path_length = 256;
 };
 
 /// Structural problems detected by Graph::diagnose().

@@ -408,6 +408,73 @@ TEST_F(CliTest, FuzzAndShrinkRejectBadInvocations) {
     EXPECT_EQ(run("suite " + tspec_path_ + " --iters 5"), 2);  // fuzz-only flag
 }
 
+TEST_F(CliTest, ShrinkRejectsAMalformedCorpusEntryNamingTheLine) {
+    // A corrupt number or percent escape in a corpus entry is a clean
+    // error (exit 1) naming the file's line, not an uncaught exception.
+    const std::string good = slurp(std::string(STC_SOURCE_DIR) +
+                                   "/corpus/CObList-assertion-violation-"
+                                   "01812903246c0cac.suite");
+    ASSERT_NE(good.find("P:CObject\n"), std::string::npos);
+    ASSERT_NE(good.find("\nseed "), std::string::npos);
+    std::string bad_escape = good;
+    bad_escape.replace(bad_escape.find("P:CObject\n"), 9, "P:CObj%zzect");
+    std::string bad_seed = good;
+    const std::size_t seed = bad_seed.find("\nseed ") + 6;
+    bad_seed.replace(seed, bad_seed.find('\n', seed) - seed, "banana");
+
+    const std::string base =
+        "/tmp/stc_cli_bad_entry_" + std::to_string(getpid());
+    const std::pair<std::string, std::string> cases[] = {
+        {bad_escape, "line 12: bad percent escape"},
+        {bad_seed, "line 8: bad number 'banana'"},
+    };
+    for (const auto& [text, message] : cases) {
+        std::ofstream(base + ".suite") << text;
+        EXPECT_EQ(run("shrink coblist --case " + base + ".suite", base + ".out"),
+                  1);
+        EXPECT_NE(slurp(base + ".out").find(message), std::string::npos)
+            << slurp(base + ".out");
+    }
+}
+
+TEST_F(CliTest, FuzzIsolateMatchesInProcessOnOnePersistentWorker) {
+    // Isolation is an execution detail: each configuration's report
+    // (and the coblist corpus) is byte-identical with and without
+    // --isolate, and one worker, forked once, serves the whole run.
+    const std::string base = "/tmp/stc_cli_fuzz_iso_" + std::to_string(getpid());
+    std::system(("rm -rf " + base + "_*").c_str());
+    const std::string configs[] = {
+        std::string("coblist --iters 300 --seed 11 --mutant ") + kSeededFault,
+        "sortable --iters 500 --seed 3",
+        "sortable --iters 500 --seed 7",
+        "sortable --iters 500 --seed 42",
+        "sortable --model --iters 500 --seed 5",
+    };
+    for (const std::string& config : configs) {
+        const std::string args = "fuzz " + config + " --corpus ";
+        ASSERT_EQ(run(args + base + "_plain", base + "_plain.out"), 0) << config;
+        ASSERT_EQ(run(args + base + "_iso --isolate --telemetry-out " + base +
+                          "_iso.jsonl",
+                      base + "_iso.out"),
+                  0)
+            << config;
+        EXPECT_EQ(slurp(base + "_plain.out"), slurp(base + "_iso.out")) << config;
+        const std::string telemetry = slurp(base + "_iso.jsonl");
+        EXPECT_NE(telemetry.find("\"sandbox_spawns\":1,"), std::string::npos)
+            << config;
+        EXPECT_NE(telemetry.find("\"sandbox_respawns\":0,"), std::string::npos)
+            << config;
+
+        const auto plain = stc::fuzz::list_corpus(base + "_plain");
+        const auto isolated = stc::fuzz::list_corpus(base + "_iso");
+        ASSERT_EQ(plain.size(), isolated.size()) << config;
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            EXPECT_EQ(slurp(plain[i]), slurp(isolated[i])) << config;
+        }
+        std::system(("rm -rf " + base + "_plain " + base + "_iso").c_str());
+    }
+}
+
 // ---------------------------------------------------------------- model
 
 TEST_F(CliTest, ModelCampaignReportsOracleStrengthAndStatsKeepZeroRows) {

@@ -52,6 +52,10 @@ TEST(GoldenIo, MalformedInputRejected) {
     EXPECT_THROW((void)load_golden(bad_fields), Error);
     std::stringstream bad_verdict("concat-golden 1\nTC0|exploded|r|m\n");
     EXPECT_THROW((void)load_golden(bad_verdict), Error);
+    std::stringstream bad_escape("concat-golden 1\nTC0|pass|r%zz|m\n");
+    EXPECT_THROW((void)load_golden(bad_escape), Error);
+    std::stringstream short_escape("concat-golden 1\nTC0|pass|r|m%4\n");
+    EXPECT_THROW((void)load_golden(short_escape), Error);
 }
 
 // --------------------------------------------------------------- comparison

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stc/campaign/scheduler.h"
@@ -175,6 +177,10 @@ TEST(DecodeWaitStatus, SignalsFollowTheTable) {
 /// Payload-directed job: "ok:<x>" echoes, the rest misbehave for real.
 std::string hostile_job(const std::string& payload) {
     if (payload.rfind("ok:", 0) == 0) return "echo:" + payload;
+    if (payload.rfind("slow:", 0) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return "echo:" + payload;
+    }
     if (payload == "exit") ::_exit(3);
     if (payload == "throw") throw std::runtime_error("job failure");
     if (payload == "segv") {
@@ -291,17 +297,53 @@ TEST(SandboxWorkerPool, RealSegfaultAndAllocationBombAreContained) {
     EXPECT_EQ(stats.resource_limits, 1u);
 }
 
-TEST(SandboxRunner, RespawnsAfterACrashAndKeepsServing) {
-    SandboxLimits limits;
-    limits.timeout_ms = 500;
-    SandboxRunner runner(hostile_job, limits);
+TEST(SandboxWorkerPool, RespawnsAfterACrashAndKeepsServing) {
+    // Successive single-payload runs on one pool — the fuzz loop's use.
+    // Workers outlive run(), so only a death costs a fork.
+    PoolOptions options;
+    options.limits.timeout_ms = 500;
+    WorkerPool pool(hostile_job, options);
+    const auto call = [&pool](const std::string& payload) {
+        TaskResult out;
+        pool.run({payload}, [&out](std::size_t, TaskResult result) {
+            out = std::move(result);
+        });
+        return out;
+    };
 
-    EXPECT_EQ(runner.call("ok:1").payload, "echo:ok:1");
-    EXPECT_EQ(runner.call("exit").outcome(), "worker-exit:3");
-    EXPECT_EQ(runner.call("ok:2").payload, "echo:ok:2");
-    EXPECT_EQ(runner.call("hang").outcome(), "timeout");
-    EXPECT_EQ(runner.call("ok:3").payload, "echo:ok:3");
-    EXPECT_GE(runner.stats().respawned, 2u);
+    EXPECT_EQ(call("ok:1").payload, "echo:ok:1");
+    EXPECT_EQ(call("ok:2").payload, "echo:ok:2");
+    EXPECT_EQ(call("ok:3").payload, "echo:ok:3");
+    EXPECT_EQ(pool.stats().spawned, 1u);
+
+    EXPECT_EQ(call("exit").outcome(), "worker-exit:3");
+    EXPECT_EQ(call("ok:4").payload, "echo:ok:4");
+    EXPECT_EQ(call("hang").outcome(), "timeout");
+    EXPECT_EQ(call("ok:5").payload, "echo:ok:5");
+    EXPECT_EQ(pool.stats().respawned, 2u);
+}
+
+TEST(SandboxWorkerPool, AReplyThatBeatsItsDeadlineKillStillCounts) {
+    // The parent is stuck in on_result past a worker's deadline while
+    // that worker replies in time.  The reply counts; the worker, which
+    // the parent then SIGKILLs, is replaced instead of being handed the
+    // next item (which would then read as the kill's victim).
+    PoolOptions options;
+    options.workers = 2;
+    options.limits.timeout_ms = 50;
+    const std::vector<std::string> payloads = {"ok:a", "slow:b", "ok:c",
+                                               "ok:d", "ok:e",   "ok:f"};
+    WorkerPool pool(hostile_job, options);
+    std::vector<TaskResult> results(payloads.size());
+    pool.run(payloads, [&](std::size_t index, TaskResult result) {
+        if (index == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        results[index] = std::move(result);
+    });
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        EXPECT_EQ(results[i].payload, "echo:" + payloads[i])
+            << i << ": " << results[i].outcome();
+    }
+    EXPECT_EQ(pool.stats().kills, 1u);
 }
 
 // ------------------------------------------------------------------ codec

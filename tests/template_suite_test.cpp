@@ -223,6 +223,34 @@ TEST_F(SuiteIoTest, MalformedInputRejected) {
     std::stringstream bad_value(
         "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|1|0|Q:zz\nend\n");
     EXPECT_THROW((void)load_suite(bad_value), Error);
+
+    // Malformed numbers and percent escapes are stc::Errors naming the
+    // line, not standard-library exceptions escaping the reader.
+    const char* const malformed[] = {
+        "concat-suite 1\nseed banana\n",
+        "concat-suite 1\nseed 12x\n",
+        "concat-suite 1\nseed -1\n",
+        "concat-suite 1\nseed 99999999999999999999999\n",
+        "concat-suite 1\nmodel 1 two 3\n",
+        "concat-suite 1\ncase TC0|t|0,x,2|0\n",
+        "concat-suite 1\ncase TC0|bad%zz|0|0\n",
+        "concat-suite 1\ncase TC0|t|0|0|trailing%4\n",
+        "concat-suite 1\ncase TC0|t|0|0\ncall m1|f%|1|0\n",
+        "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|0|0|0|P:CObj%zzect\n",
+        "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|0|0|0|S:%g1\n",
+        "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|0|0|0|I:4.5\n",
+        "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|0|0|0|R:fast\n",
+    };
+    for (const char* text : malformed) {
+        std::stringstream in(text);
+        try {
+            (void)load_suite(in);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -1177,13 +1177,15 @@ int cmd_fuzz(const Options& options) {
         return runner.run_case(binding, tc);
     };
 
-    // --isolate: replay each case in a persistent forked worker.  The
-    // case travels as a one-case concat-suite (the corpus transport:
+    // --isolate: replay each case on a one-worker sandbox pool that
+    // lives for the whole run (its worker forks at the first case and
+    // inherits the runner and completions built above).  The case
+    // travels as a one-case concat-suite (the corpus transport:
     // serialize, reload, recomplete); the reply is the encoded result.
     // A worker death surfaces as a Crash verdict whose failed_method is
     // the termination kind, so a genuine SIGSEGV/hang/OOM dedupes as a
     // finding ("crash|crash-signal:11") instead of ending the run.
-    std::optional<sandbox::SandboxRunner> isolated;
+    std::optional<sandbox::WorkerPool> isolated;
     if (options.isolate) {
         const sandbox::Job job = [&](const std::string& payload) -> std::string {
             std::istringstream in(payload);
@@ -1192,10 +1194,10 @@ int cmd_fuzz(const Options& options) {
             if (one.cases.empty()) throw Error("sandbox: empty case payload");
             return sandbox::encode_result(run_in_process(one.cases.front()));
         };
-        sandbox::SandboxLimits limits;
-        limits.timeout_ms = options.timeout_ms;
-        limits.rlimit_as_mb = options.rlimit_as_mb;
-        isolated.emplace(job, limits);
+        sandbox::PoolOptions pool_options;
+        pool_options.limits.timeout_ms = options.timeout_ms;
+        pool_options.limits.rlimit_as_mb = options.rlimit_as_mb;
+        isolated.emplace(job, std::move(pool_options));
     }
 
     const fuzz::CaseRunner case_runner =
@@ -1207,7 +1209,10 @@ int cmd_fuzz(const Options& options) {
         one.cases.push_back(tc);
         std::ostringstream out;
         driver::save_suite(out, one);
-        const sandbox::TaskResult task = isolated->call(out.str());
+        sandbox::TaskResult task;
+        isolated->run({out.str()}, [&](std::size_t, sandbox::TaskResult r) {
+            task = std::move(r);
+        });
         if (task.ok()) {
             if (auto decoded = sandbox::decode_result(task.payload)) {
                 return *decoded;
