@@ -1,4 +1,6 @@
 #include <atomic>
+#include <deque>
+#include <locale>
 #include <sstream>
 
 #include "stc/bit/assertions.h"
@@ -8,8 +10,47 @@ namespace stc::bit {
 
 thread_local int TestMode::depth_ = 0;
 
+namespace {
+
+/// This thread's report streams, one per nesting level: a Reporter may
+/// ask another object for its report.  Building an ostringstream per
+/// report cost more than most Reporters do.
+struct ReportStreams {
+    std::deque<std::ostringstream> levels;  // growing keeps references
+    std::size_t depth = 0;
+};
+
+/// Give `os` the state of a freshly built stream: no text, no error or
+/// exception bits, and default format state, since a Reporter may leave
+/// std::hex or a fill behind.  Re-imbuing runs only when a Reporter
+/// changed the locale, because it re-caches every facet.
+void reset_to_fresh(std::ostringstream& os) {
+    static const std::string kNoText;
+    os.str(kNoText);  // by const&: str(string&&) would free the buffer
+    os.exceptions(std::ios_base::goodbit);
+    os.clear();
+    os.flags(std::ios_base::skipws | std::ios_base::dec);
+    os.precision(6);
+    os.width(0);
+    os.fill(' ');
+    os.tie(nullptr);
+    if (os.getloc() != std::locale()) os.imbue(std::locale());
+}
+
+}  // namespace
+
 std::string BuiltInTest::report() const {
-    std::ostringstream os;
+    thread_local ReportStreams streams;
+    if (streams.depth == streams.levels.size()) streams.levels.emplace_back();
+    std::ostringstream& os = streams.levels[streams.depth];
+    reset_to_fresh(os);
+    struct Level {
+        std::size_t& depth;
+        explicit Level(std::size_t& d) : depth(d) { ++depth; }
+        ~Level() { --depth; }
+        Level(const Level&) = delete;
+        Level& operator=(const Level&) = delete;
+    } level(streams.depth);
     Reporter(os);
     return os.str();
 }

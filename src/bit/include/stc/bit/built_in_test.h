@@ -69,7 +69,12 @@ public:
     /// locking.
     virtual void Reporter(std::ostream& os) const = 0;
 
-    /// Convenience rendering of Reporter output as a string.
+    /// Convenience rendering of Reporter output as a string.  Reports
+    /// render into a per-thread stream whose content, error state and
+    /// format state are reset before each call, as if it were freshly
+    /// built; a Reporter that calls report() on another object gets a
+    /// stream of its own.  A Reporter writes only to `os` and must not
+    /// keep a reference to it.
     [[nodiscard]] std::string report() const;
 };
 

@@ -7,7 +7,8 @@
 // the back of a victim's deque when empty — the classic Chase-Lev
 // discipline, here with a plain mutex per deque since campaign items
 // are milliseconds-to-seconds long and queue operations are not the
-// bottleneck.
+// bottleneck.  No task adds another, so a worker that finds every deque
+// empty returns at once instead of waiting for the running tasks.
 //
 // Determinism contract: tasks must not communicate through schedule-
 // dependent shared state; each task writes only to its own result slot.

@@ -63,13 +63,12 @@ std::uint64_t WorkStealingPool::run(std::vector<Task> tasks) const {
         shards[i % n].tasks.push_back(i);  // deterministic round-robin deal
     }
 
-    std::atomic<std::size_t> remaining{tasks.size()};
     std::atomic<std::uint64_t> steals{0};
 
     auto worker_loop = [&](std::size_t me) {
         WorkerContext context;
         context.worker = me;
-        while (remaining.load(std::memory_order_acquire) > 0) {
+        while (true) {
             std::size_t task_index = 0;
             std::size_t depth = 0;
             bool found = shards[me].pop_front(task_index, depth);
@@ -81,18 +80,15 @@ std::uint64_t WorkStealingPool::run(std::vector<Task> tasks) const {
                 stolen = found;
                 depth = 0;
             }
-            if (!found) {
-                // Nothing queued anywhere, but tasks may still be
-                // in-flight on other workers; yield until the count
-                // drains (items are long; this wastes microseconds).
-                std::this_thread::yield();
-                continue;
-            }
+            // Every task was dealt before any worker started and no task
+            // adds another, so shards only shrink: once this worker found
+            // them all empty, no work is left for it.  The tasks still
+            // running elsewhere end before run() joins their threads.
+            if (!found) return;
             if (stolen) steals.fetch_add(1, std::memory_order_relaxed);
             context.queue_depth = depth;
             context.stolen = stolen;
             tasks[task_index](context);
-            remaining.fetch_sub(1, std::memory_order_acq_rel);
         }
     };
 

@@ -152,23 +152,36 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                                    test_case.id);
 
     const bit::TestModeGuard test_mode;
-    std::ostringstream log;
-    std::ostringstream observations;  // return values (+ per-call state)
-    std::string state_report;         // object state before death
+    std::string log;
+    std::string observations;  // return values (+ per-call state)
+    std::string state_report;  // object state before death
 
-    std::string current_method = "<none>";
+    // The method a failure names: the current call, rendered only when a
+    // failure or a divergence reads it, or a marker when no call is
+    // current ("<none>", "<resume>", "<set-state:...>").
+    const MethodCall* current_call = nullptr;
+    std::string current_marker = "<none>";
+    auto current_method = [&] {
+        return current_call != nullptr ? current_call->render()
+                                       : current_marker;
+    };
     auto record_failure = [&](Verdict verdict, const std::string& message) {
         result.verdict = verdict;
         result.message = message;
-        result.failed_method = current_method;
+        result.failed_method = current_method();
         // Fig. 6 failure block: test case name, error message, method name.
-        log << "TestCase " << test_case.id << "\n"
-            << message << "\n"
-            << "Method called: " << current_method << "\n";
+        log += "TestCase ";
+        log += test_case.id;
+        log += '\n';
+        log += message;
+        log += "\nMethod called: ";
+        log += result.failed_method;
+        log += '\n';
     };
     auto finish = [&] {
-        result.report = observations.str() + state_report;
-        result.log = log.str();
+        result.report = std::move(observations);
+        result.report += state_report;
+        result.log = std::move(log);
         if (metered) {
             options_.obs.metrics.add(std::string("runner.verdict.") +
                                      to_string(result.verdict));
@@ -200,8 +213,8 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         // Clone failures propagate uncaught: the caller falls back to a
         // full run rather than recording a fabricated verdict.
         raw = binding.clone(resume->prototype.get());
-        observations << resume->observations;
-        current_method = "<resume>";
+        observations = resume->observations;
+        current_marker = "<resume>";
     } else {
         try {
             ctor = &test_case.constructor_call();
@@ -211,7 +224,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             return result;
         }
 
-        current_method = ctor->render();
+        current_call = ctor;
         try {
             raw = binding.construct(ctor->arguments);
         } catch (const bit::AssertionViolation& av) {
@@ -250,24 +263,25 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     std::unique_ptr<LockstepModel> model;
     bool model_engaged = false;
     std::string diverged_method;
-    auto model_diverge = [&](const std::string& method, std::size_t call_index,
-                             const char* aspect, const std::string& expected,
+    // A divergence names the current method: the model is compared right
+    // after the runner's call.
+    auto model_diverge = [&](std::size_t call_index, const char* aspect,
+                             const std::string& expected,
                              const std::string& actual) {
+        diverged_method = current_method();
         std::ostringstream os;
-        os << "call " << call_index << " " << method << ": " << aspect
+        os << "call " << call_index << " " << diverged_method << ": " << aspect
            << " expected \"" << expected << "\" got \"" << actual << "\"";
         result.model_divergence = os.str();
-        diverged_method = method;
         options_.obs.metrics.add("model.divergences");
         model_engaged = false;  // first divergence is the finding; stop there
     };
-    auto model_compare_state = [&](const std::string& method,
-                                   std::size_t call_index) {
+    auto model_compare_state = [&](std::size_t call_index) {
         if (!model_engaged) return;
         const std::string live = options_.model->project(cut.get());
         const std::string predicted = model->abstract_state();
         if (live != predicted) {
-            model_diverge(method, call_index, "state", predicted, live);
+            model_diverge(call_index, "state", predicted, live);
         }
     };
     const bool modeled = options_.model != nullptr && options_.model->valid();
@@ -291,7 +305,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                 const obs::SpanScope span(options_.obs.tracer, "model-compare",
                                           ctor->method_name);
                 options_.obs.metrics.add("model.compares");
-                model_compare_state(ctor->render(), 0);
+                model_compare_state(0);
             }
         } catch (...) {
             model_engaged = false;  // a broken model must never fail the run
@@ -302,7 +316,8 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     // A checkpoint resume skips this: entry-state application is part of
     // call index 0, already folded into the checkpointed prefix.
     if (resume == nullptr && !test_case.entry_state.empty()) {
-        current_method = "<set-state:" + test_case.entry_state + ">";
+        current_call = nullptr;
+        current_marker = "<set-state:" + test_case.entry_state + ">";
         try {
             binding.apply_state(cut.get(), test_case.entry_state);
         } catch (const ReflectError& re) {
@@ -326,7 +341,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         if (model_engaged) {
             try {
                 model_engaged = model->apply_state(test_case.entry_state);
-                model_compare_state(current_method, 0);
+                model_compare_state(0);
             } catch (...) {
                 model_engaged = false;
             }
@@ -356,7 +371,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         } catch (...) {
             return false;
         }
-        checkpoint.observations = observations.str();
+        checkpoint.observations = observations;
         checkpoint.model_divergence = result.model_divergence;
         checkpoint.diverged_method = diverged_method;
         captured->push_back(std::move(checkpoint));
@@ -384,7 +399,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             if (observer != nullptr) observer->on_call(i);
             if (capturing) capture_at(i);
             const MethodCall& call = test_case.calls[i];
-            current_method = call.render();
+            current_call = &call;
             options_.obs.metrics.add("runner.method_calls");
             const obs::SpanScope call_span(options_.obs.tracer, "method-call",
                                            call.method_name);
@@ -419,7 +434,8 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                                    "out-of-contract call was accepted");
                     break;
                 }
-                observations << call.method_name << " -> <rejected>\n";
+                observations += call.method_name;
+                observations += " -> <rejected>\n";
                 if (options_.check_invariants) observe_invariant(cut.get());
                 continue;
             }
@@ -428,6 +444,8 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             const domain::Value rv =
                 binding.invoke(cut.get(), call.method_name, call.arguments);
             if (options_.check_invariants) observe_invariant(cut.get());
+            const std::string returned =
+                rv.is_empty() ? std::string() : render_return(rv);
 
             if (model_engaged) {
                 const obs::SpanScope span(options_.obs.tracer, "model-compare",
@@ -438,16 +456,13 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                     if (!prediction.modeled) {
                         model_engaged = false;  // modelling gap, not a finding
                     } else {
-                        const std::string actual =
-                            rv.is_empty() ? std::string() : render_return(rv);
                         const std::string expected =
                             prediction.has_return ? prediction.rendered_return
                                                   : std::string();
-                        if (expected != actual) {
-                            model_diverge(call.render(), i, "return", expected,
-                                          actual);
+                        if (expected != returned) {
+                            model_diverge(i, "return", expected, returned);
                         } else {
-                            model_compare_state(call.render(), i);
+                            model_compare_state(i);
                         }
                     }
                 } catch (...) {
@@ -456,11 +471,14 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             }
 
             if (!rv.is_empty()) {
-                observations << call.method_name << " -> " << render_return(rv)
-                             << "\n";
+                observations += call.method_name;
+                observations += " -> ";
+                observations += returned;
+                observations += '\n';
             }
             if (options_.observe_each_call) {
-                observations << capture_state(binding, cut.get()) << "\n";
+                observations += capture_state(binding, cut.get());
+                observations += '\n';
             }
         }
 
@@ -477,11 +495,14 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             }
             if (options_.promote_divergence &&
                 !result.model_divergence.empty()) {
-                current_method = diverged_method;
+                current_call = nullptr;
+                current_marker = diverged_method;
                 record_failure(Verdict::ModelDivergence,
                                result.model_divergence);
             } else {
-                log << "TestCase " << test_case.id << " OK!\n";
+                log += "TestCase ";
+                log += test_case.id;
+                log += " OK!\n";
             }
         }
     } catch (const bit::AssertionViolation& av) {

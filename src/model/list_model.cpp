@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <string>
 
 #include "stc/mfc/coblist.h"
 #include "stc/mfc/sortable.h"
@@ -26,18 +26,35 @@ std::string text_of(const CObject* element) {
 
 /// Shared abstraction format, "count=N [CInt(3), CInt(7)]": produced
 /// verbatim by the model's abstract_state() and, element-for-element,
-/// by the live projection below — byte equality IS conformance.
-std::string render_abstraction(std::size_t count,
-                               const std::vector<std::string>& elements) {
-    std::ostringstream os;
-    os << "count=" << count << " [";
-    for (std::size_t i = 0; i < elements.size(); ++i) {
-        if (i != 0) os << ", ";
-        os << elements[i];
+/// by the live projection below — byte equality IS conformance.  Both
+/// append into one string: they run after every modelled call.
+class Abstraction {
+public:
+    explicit Abstraction(std::size_t count) {
+        text_.reserve(16 + 10 * std::min(count, kMaxProjected));
+        text_ = "count=";
+        text_ += std::to_string(count);
+        text_ += " [";
     }
-    os << "]";
-    return os.str();
-}
+
+    void element(const std::string& text) {
+        if (!first_) text_ += ", ";
+        first_ = false;
+        text_ += text;
+    }
+    void element(const CObject* object) {
+        element(text_of(object));
+    }
+
+    std::string finish() && {
+        text_ += ']';
+        return std::move(text_);
+    }
+
+private:
+    std::string text_;
+    bool first_ = true;
+};
 
 /// Read-only projection of a live CObList into the shared abstraction.
 /// Never throws: a walk the corrupted structure cuts short (checked()
@@ -51,20 +68,21 @@ std::string project_live(const mfc::CObList& list) noexcept {
             count < 0 ? 0 : static_cast<std::size_t>(count);
         const std::size_t walk_limit = std::min(target, kMaxProjected);
 
-        std::vector<std::string> elements;
-        elements.reserve(walk_limit);
+        Abstraction out(target);
+        std::size_t walked = 0;
         mfc::POSITION pos = list.GetHeadPosition();
-        while (pos != nullptr && elements.size() < walk_limit) {
-            elements.push_back(text_of(list.GetNext(pos)));
+        while (pos != nullptr && walked < walk_limit) {
+            out.element(list.GetNext(pos));
+            ++walked;
         }
-        if (elements.size() < walk_limit) {
-            elements.push_back("<short>");  // chain ended before m_nCount
+        if (walked < walk_limit) {
+            out.element("<short>");  // chain ended before m_nCount
         } else if (target > kMaxProjected) {
-            elements.push_back("...");
+            out.element("...");
         } else if (pos != nullptr) {
-            elements.push_back("<extra>");  // nodes beyond m_nCount
+            out.element("<extra>");  // nodes beyond m_nCount
         }
-        return render_abstraction(target, elements);
+        return std::move(out).finish();
     } catch (...) {
         return "<fault>";
     }
@@ -165,14 +183,11 @@ public:
     }
 
     [[nodiscard]] std::string abstract_state() const override {
-        std::vector<std::string> rendered;
+        Abstraction out(elements_.size());
         const std::size_t cap = std::min(elements_.size(), kMaxProjected);
-        rendered.reserve(cap + 1);
-        for (std::size_t i = 0; i < cap; ++i) {
-            rendered.push_back(text_of(elements_[i]));
-        }
-        if (elements_.size() > cap) rendered.push_back("...");
-        return render_abstraction(elements_.size(), rendered);
+        for (std::size_t i = 0; i < cap; ++i) out.element(elements_[i]);
+        if (elements_.size() > cap) out.element("...");
+        return std::move(out).finish();
     }
 
     [[nodiscard]] std::unique_ptr<driver::LockstepModel> clone() const override {

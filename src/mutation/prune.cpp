@@ -1,10 +1,14 @@
 #include "stc/mutation/prune.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <set>
-#include <sstream>
+#include <string_view>
+
+#include "stc/support/strings.h"
 
 namespace stc::mutation {
 
@@ -17,39 +21,74 @@ constexpr std::size_t kMaxCheckpointsPerCase = 6;
 /// at call 1 saves only the constructor).
 constexpr std::size_t kMinResumeCall = 2;
 
-/// Identity-exact encoding of one argument value.  Pointer/object
-/// arguments encode their *address*: two prefixes only share a
-/// checkpoint when they pass the very same objects, which is the only
-/// sharing that is sound without knowing the component's semantics
-/// (value-equal but distinct elements could later be distinguished by
-/// identity, e.g. CObList::Find).
-void encode_value(std::ostringstream& os, const domain::Value& v) {
+/// A string prefixed by its length, so no content can read as a
+/// delimiter.
+void append_counted(std::string& out, std::string_view text) {
+    support::append_integer(out, text.size());
+    out += ':';
+    out += text;
+}
+
+/// Identity-exact encoding of one argument value.  Reals are written in
+/// their shortest round-trip form and strings with their length, so two
+/// distinct values never share an encoding.  Pointer/object arguments
+/// encode their *address*: two prefixes only share a checkpoint when
+/// they pass the very same objects, which is the only sharing that is
+/// sound without knowing the component's semantics (value-equal but
+/// distinct elements could later be distinguished by identity, e.g.
+/// CObList::Find).
+void encode_value(std::string& out, const domain::Value& v) {
     switch (v.kind()) {
-        case domain::ValueKind::Empty: os << "e;"; break;
-        case domain::ValueKind::Int: os << "i" << v.as_int() << ";"; break;
-        case domain::ValueKind::Real: os << "r" << v.as_number() << ";"; break;
-        case domain::ValueKind::String: os << "s" << v.as_string() << ";"; break;
-        case domain::ValueKind::Pointer: os << "p" << v.as_pointer() << ";"; break;
+        case domain::ValueKind::Empty: out += 'e'; break;
+        case domain::ValueKind::Int:
+            out += 'i';
+            support::append_integer(out, v.as_int());
+            break;
+        case domain::ValueKind::Real: {
+            out += 'r';
+            char buffer[32];
+            const auto [end, ec] =
+                std::to_chars(buffer, buffer + sizeof buffer, v.as_number());
+            (void)ec;  // the shortest form of a double fits in 32 bytes
+            out.append(buffer, end);
+            break;
+        }
+        case domain::ValueKind::String:
+            out += 's';
+            append_counted(out, v.as_string());
+            break;
+        case domain::ValueKind::Pointer:
+            out += 'p';
+            support::append_integer(
+                out, reinterpret_cast<std::uintptr_t>(v.as_pointer()), 16);
+            break;
         case domain::ValueKind::Object:
-            os << "o" << v.as_object().ptr << ";";
+            out += 'o';
+            support::append_integer(
+                out, reinterpret_cast<std::uintptr_t>(v.as_object().ptr), 16);
             break;
     }
+    out += ';';
 }
 
 /// Signature of a case's birth prefix: entry state plus calls[0..depth).
 /// Cases with equal signatures execute identically up to body call
 /// `depth`, so a checkpoint captured from one serves them all.
 std::string prefix_signature(const driver::TestCase& tc, std::size_t depth) {
-    std::ostringstream os;
-    os << tc.entry_state << '\x1f';
+    std::string out;
+    append_counted(out, tc.entry_state);
+    out += '\x1f';
     for (std::size_t j = 0; j < depth && j < tc.calls.size(); ++j) {
         const driver::MethodCall& call = tc.calls[j];
-        os << call.method_name << '(';
-        for (const domain::Value& v : call.arguments) encode_value(os, v);
-        os << ')' << (call.expect_rejection ? '!' : '.')
-           << (call.is_destructor ? '~' : '.') << '\x1f';
+        out += call.method_name;
+        out += '(';
+        for (const domain::Value& v : call.arguments) encode_value(out, v);
+        out += ')';
+        out += call.expect_rejection ? '!' : '.';
+        out += call.is_destructor ? '~' : '.';
+        out += '\x1f';
     }
-    return os.str();
+    return out;
 }
 
 std::vector<CasePlan> build_ladders(

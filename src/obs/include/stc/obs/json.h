@@ -72,4 +72,7 @@ private:
 /// JSON string escaping (quotes, backslash, control characters).
 [[nodiscard]] std::string json_escape(std::string_view raw);
 
+/// Append json_escape(raw) to `out` without a temporary string.
+void append_json_escaped(std::string& out, std::string_view raw);
+
 }  // namespace stc::obs

@@ -6,13 +6,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+
+#include "stc/support/strings.h"
 
 namespace stc::obs {
 
-std::string json_escape(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
+void append_json_escaped(std::string& out, std::string_view raw) {
+    static constexpr char kHex[] = "0123456789abcdef";
     for (const char c : raw) {
         switch (c) {
             case '"': out += "\\\""; break;
@@ -20,17 +20,24 @@ std::string json_escape(std::string_view raw) {
             case '\n': out += "\\n"; break;
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buffer;
+            default: {
+                const auto byte = static_cast<unsigned char>(c);
+                if (byte < 0x20) {
+                    out += "\\u00";
+                    out += kHex[byte >> 4];
+                    out += kHex[byte & 0xf];
                 } else {
                     out += c;
                 }
+            }
         }
     }
+}
+
+std::string json_escape(std::string_view raw) {
+    std::string out;
+    out.reserve(raw.size());
+    append_json_escaped(out, raw);
     return out;
 }
 
@@ -117,24 +124,26 @@ std::optional<bool> JsonObject::get_bool(std::string_view key) const {
 
 namespace {
 
-void render_value(std::ostringstream& os, const JsonObject::Value& value) {
+void append_value(std::string& out, const JsonObject::Value& value) {
     if (std::holds_alternative<bool>(value)) {
-        os << (std::get<bool>(value) ? "true" : "false");
+        out += std::get<bool>(value) ? "true" : "false";
     } else if (std::holds_alternative<std::int64_t>(value)) {
-        os << std::get<std::int64_t>(value);
+        support::append_integer(out, std::get<std::int64_t>(value));
     } else if (std::holds_alternative<std::uint64_t>(value)) {
-        os << std::get<std::uint64_t>(value);
+        support::append_integer(out, std::get<std::uint64_t>(value));
     } else if (std::holds_alternative<double>(value)) {
         const double d = std::get<double>(value);
         if (std::isfinite(d)) {
             char buffer[40];
             std::snprintf(buffer, sizeof buffer, "%.17g", d);
-            os << buffer;
+            out += buffer;
         } else {
-            os << "null";  // JSON has no inf/nan; parsed back as missing
+            out += "null";  // JSON has no inf/nan; parsed back as missing
         }
     } else {
-        os << '"' << json_escape(std::get<std::string>(value)) << '"';
+        out += '"';
+        append_json_escaped(out, std::get<std::string>(value));
+        out += '"';
     }
 }
 
@@ -241,17 +250,19 @@ std::optional<JsonObject::Value> parse_number(Cursor& c) {
 }  // namespace
 
 std::string JsonObject::to_line() const {
-    std::ostringstream os;
-    os << '{';
+    std::string out;
+    out += '{';
     bool first = true;
     for (const auto& [key, value] : fields_) {
-        if (!first) os << ',';
+        if (!first) out += ',';
         first = false;
-        os << '"' << json_escape(key) << "\":";
-        render_value(os, value);
+        out += '"';
+        append_json_escaped(out, key);
+        out += "\":";
+        append_value(out, value);
     }
-    os << '}';
-    return os.str();
+    out += '}';
+    return out;
 }
 
 std::optional<JsonObject> JsonObject::parse(std::string_view line) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "stc/obs/json.h"
+#include "stc/support/strings.h"
 
 namespace stc::serve {
 
@@ -12,34 +13,6 @@ namespace {
 constexpr std::string_view kPrefix = "{\"kind\":\"span\",\"name\":\"";
 
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-/// JSON-escape `text` onto `out`.  The fast scanner on the read side
-/// rejects lines containing backslashes, so escaping here routes such
-/// (rare) spans through the generic parser rather than corrupting them.
-void append_escaped(std::string& out, std::string_view text) {
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-            out += obs::json_escape(text.substr(i));
-            return;
-        }
-        out += c;
-    }
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-    char buffer[24];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof buffer, value);
-    out.append(buffer, end);
-}
-
-void append_int(std::string& out, int value) {
-    char buffer[16];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof buffer, value);
-    out.append(buffer, end);
-}
 
 void append_hex16(std::string& out, std::uint64_t value) {
     char buffer[16];
@@ -111,19 +84,22 @@ struct Scanner {
 
 }  // namespace
 
+// Strings are JSON-escaped: the fast scanner on the read side rejects
+// lines containing backslashes, so a (rare) span that needs escaping goes
+// through the generic parser rather than being corrupted.
 void append_span_line(std::string& out, const obs::TraceEvent& event) {
     out += kPrefix;
-    append_escaped(out, event.name);
+    obs::append_json_escaped(out, event.name);
     out += "\",\"cat\":\"";
-    append_escaped(out, event.category);
+    obs::append_json_escaped(out, event.category);
     out += "\",\"ts\":";
-    append_uint(out, event.ts_us);
+    support::append_integer(out, event.ts_us);
     out += ",\"dur\":";
-    append_uint(out, event.dur_us);
+    support::append_integer(out, event.dur_us);
     out += ",\"tid\":";
-    append_int(out, event.tid);
+    support::append_integer(out, event.tid);
     out += ",\"actor\":";
-    append_int(out, event.actor);
+    support::append_integer(out, event.actor);
     out += ",\"span\":\"";
     append_hex16(out, event.span_id);
     if (event.parent_id != 0) {
@@ -132,7 +108,7 @@ void append_span_line(std::string& out, const obs::TraceEvent& event) {
     }
     if (event.args.size() > 0) {
         out += "\",\"args\":\"";
-        append_escaped(out, event.args.to_line());
+        obs::append_json_escaped(out, event.args.to_line());
     }
     out += "\"}";
 }

@@ -2,6 +2,9 @@
 // generation, report formatting).
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +36,15 @@ namespace stc::support {
 
 /// Escape a string for inclusion in generated C++ source ("..." literal).
 [[nodiscard]] std::string cpp_string_literal(std::string_view s);
+
+/// Append the digits of an integer in `base`, as std::to_chars writes
+/// them (decimal by default): no stream, no temporary string.
+template <std::integral Integer>
+void append_integer(std::string& out, Integer value, int base = 10) {
+    char buffer[std::numeric_limits<Integer>::digits + 2];  // base 2, sign
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, value, base);
+    out.append(buffer, result.ptr);
+}
 
 /// Format a double the way the paper's tables do: one decimal for
 /// percentages (e.g. "95.7%"); trailing zeros trimmed otherwise.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "stc/bit/assertions.h"
 #include "stc/bit/built_in_test.h"
@@ -195,6 +199,99 @@ TEST_F(BitTest, KindNames) {
     EXPECT_STREQ(to_string(AssertionKind::Invariant), "Invariant");
     EXPECT_STREQ(to_string(AssertionKind::Precondition), "Pre-condition");
     EXPECT_STREQ(to_string(AssertionKind::Postcondition), "Post-condition");
+}
+
+// ------------------------------------------------------------- report()
+//
+// report() renders into a stream its thread keeps, so each call must see
+// what a freshly built std::ostringstream would: no text, no error bits
+// and default format state, whatever the previous Reporter left behind.
+
+/// Writes an int, a double and a bool with the stream's format state.
+class Plain final : public BuiltInTest {
+public:
+    Plain(int number, double real) : number_(number), real_(real) {}
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << "Plain{" << number_ << ", " << real_ << ", " << true << "}";
+    }
+
+private:
+    int number_;
+    double real_;
+};
+
+/// Leaves every piece of format state it can changed, a width pending
+/// and the stream failed.
+class Messy final : public BuiltInTest {
+public:
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << std::hex << std::showbase << std::boolalpha << std::setprecision(2)
+           << "Messy" << std::setw(12) << std::setfill('*');
+        os.setstate(std::ios_base::failbit);
+    }
+};
+
+class Throwing final : public BuiltInTest {
+public:
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << "half a report";
+        throw std::runtime_error("reporter failed");
+    }
+};
+
+/// Asks another object for its report in the middle of its own.
+class Outer final : public BuiltInTest {
+public:
+    explicit Outer(const BuiltInTest& inner) : inner_(inner) {}
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << "Outer{" << std::hex << 255 << ":" << inner_.report() << "}";
+    }
+
+private:
+    const BuiltInTest& inner_;
+};
+
+TEST(BuiltInTestReport, FormatStateDoesNotLeakIntoTheNextReport) {
+    const Plain plain(255, 3.14159);
+    EXPECT_EQ(plain.report(), "Plain{255, 3.14159, 1}");
+    EXPECT_EQ(Messy().report(), "Messy");
+    EXPECT_EQ(plain.report(), "Plain{255, 3.14159, 1}");
+}
+
+TEST(BuiltInTestReport, AThrowingReporterLeavesNoText) {
+    EXPECT_THROW((void)Throwing().report(), std::runtime_error);
+    EXPECT_EQ(Plain(7, 0.5).report(), "Plain{7, 0.5, 1}");
+}
+
+TEST(BuiltInTestReport, ANestedReportGetsItsOwnStream) {
+    const Plain inner(255, 3.14159);
+    EXPECT_EQ(Outer(inner).report(), "Outer{ff:Plain{255, 3.14159, 1}}");
+    EXPECT_EQ(inner.report(), "Plain{255, 3.14159, 1}");
+}
+
+TEST(BuiltInTestReport, EachThreadRendersItsOwnObjects) {
+    const std::vector<std::string> expected = {
+        "Plain{0, 0.5, 1}", "Plain{1000, 1.5, 1}", "Plain{2000, 2.5, 1}",
+        "Plain{3000, 3.5, 1}"};
+    std::vector<int> wrong(expected.size(), 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < expected.size(); ++t) {
+        threads.emplace_back([t, &expected, &wrong] {
+            const int n = static_cast<int>(t);
+            const Plain mine(n * 1000, n + 0.5);
+            for (int i = 0; i < 200; ++i) {
+                if (mine.report() != expected[t]) ++wrong[t];
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 0; t < expected.size(); ++t) {
+        EXPECT_EQ(wrong[t], 0) << "thread " << t;
+    }
 }
 
 }  // namespace

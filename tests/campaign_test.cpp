@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -75,6 +77,28 @@ TEST(Jsonl, RoundTripsEveryValueKind) {
     EXPECT_EQ(parsed->get_bool("no"), false);
     // Re-rendering the parsed object reproduces the line exactly.
     EXPECT_EQ(parsed->to_line(), o.to_line());
+}
+
+TEST(Jsonl, RendersEveryValueKindByteForByte) {
+    // Every store record, telemetry event, sandbox reply and wire frame
+    // is one of these lines, so their bytes are pinned here.
+    JsonObject o;
+    o.set("s", std::string("q\"b\\k\nx\x01y\x1f"))
+        .set("min", std::numeric_limits<std::int64_t>::min())
+        .set("zero", static_cast<std::int64_t>(0))
+        .set("max", std::numeric_limits<std::uint64_t>::max())
+        .set("d", 3.25)
+        .set("tenth", 0.1)
+        .set("inf", std::numeric_limits<double>::infinity())
+        .set("nan", std::numeric_limits<double>::quiet_NaN())
+        .set("yes", true)
+        .set("no", false);
+    EXPECT_EQ(o.to_line(),
+              "{\"s\":\"q\\\"b\\\\k\\nx\\u0001y\\u001f\","
+              "\"min\":-9223372036854775808,\"zero\":0,"
+              "\"max\":18446744073709551615,\"d\":3.25,"
+              "\"tenth\":0.10000000000000001,\"inf\":null,\"nan\":null,"
+              "\"yes\":true,\"no\":false}");
 }
 
 TEST(Jsonl, EscapesHostileStrings) {
@@ -390,6 +414,54 @@ TEST(ThreadPool, ZeroWorkersSelectsHardware) {
     EXPECT_EQ(WorkStealingPool(0).workers(),
               WorkStealingPool::hardware_workers());
     EXPECT_GE(WorkStealingPool::hardware_workers(), 1u);
+}
+
+TEST(ThreadPool, RunReturnsOnlyAfterTheLastTaskEnds) {
+    // Task 1 is first in worker 1's shard and waits until every other
+    // task has run, so the other workers find nothing left and return
+    // while it still runs.  run() must wait for it all the same.
+    const std::size_t n = 32;
+    std::vector<std::atomic<int>> executed(n);
+    std::latch others(static_cast<std::ptrdiff_t>(n - 1));
+    std::atomic<bool> last_done{false};
+    std::vector<WorkStealingPool::Task> tasks;
+    for (std::size_t i = 0; i < n; ++i) {
+        tasks.push_back([&, i](const WorkerContext&) {
+            executed[i].fetch_add(1);
+            if (i != 1) {
+                others.count_down();
+                return;
+            }
+            others.wait();
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            last_done.store(true);
+        });
+    }
+    WorkStealingPool(4).run(std::move(tasks));
+    EXPECT_TRUE(last_done.load());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(executed[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, EveryTaskRunsOnceWhenWorkersFinishUnevenly) {
+    // Only worker 0's shard holds slow tasks: the others drain their
+    // own, steal, and return early, round after round.
+    const std::size_t n = 24;
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> executed(n);
+        std::vector<WorkStealingPool::Task> tasks;
+        for (std::size_t i = 0; i < n; ++i) {
+            tasks.push_back([&executed, i](const WorkerContext&) {
+                if (i % 4 == 0) {
+                    std::this_thread::sleep_for(std::chrono::microseconds(300));
+                }
+                executed[i].fetch_add(1);
+            });
+        }
+        WorkStealingPool(4).run(std::move(tasks));
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(executed[i].load(), 1) << "round " << round << " task " << i;
+        }
+    }
 }
 
 // -------------------------------------------------------------- scheduler

@@ -233,6 +233,125 @@ TEST_F(DriverTest, AssertionViolationVerdictNamesTheMethod) {
     EXPECT_EQ(result.count(Verdict::AssertionViolation), 1u);
 }
 
+/// Fails on demand with fixed messages (no __FILE__), so the failure
+/// blocks of the four labelled failure kinds can be pinned byte for byte.
+class Strict : public bit::BuiltInTest {
+public:
+    explicit Strict(int limit) : limit_(limit) {
+        if (limit < 0) fail(bit::AssertionKind::Precondition, "limit >= 0", 1);
+    }
+
+    void Push(int value) {
+        if (value > limit_) {
+            fail(bit::AssertionKind::Precondition, "value <= limit", 2);
+        }
+        ++count_;
+    }
+
+    void Fill(const std::string& state) {
+        if (state == "overfull") {
+            fail(bit::AssertionKind::Invariant, "count <= limit", 3);
+        }
+        count_ = limit_;
+    }
+
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << "Strict{" << count_ << "/" << limit_ << "}";
+    }
+
+private:
+    [[noreturn]] static void fail(bit::AssertionKind kind, const char* expression,
+                                  int line) {
+        throw bit::AssertionViolation(kind, expression, "strict.h", line);
+    }
+
+    int limit_;
+    int count_ = 0;
+};
+
+reflect::Registry strict_registry() {
+    reflect::Binder<Strict> b("Strict");
+    b.ctor<int>();
+    b.method("Push", &Strict::Push);
+    b.state_setter([](Strict& s, const std::string& state) { s.Fill(state); });
+    reflect::Registry registry;
+    registry.add(b.take());
+    return registry;
+}
+
+MethodCall strict_call(const char* name, std::vector<domain::Value> arguments) {
+    MethodCall call;
+    call.method_name = name;
+    call.arguments = std::move(arguments);
+    return call;
+}
+
+TestCase strict_case(const char* id, int limit, std::vector<MethodCall> body) {
+    TestCase tc;
+    tc.id = id;
+    MethodCall ctor = strict_call("Strict", {domain::Value::make_int(limit)});
+    ctor.is_constructor = true;
+    tc.calls.push_back(std::move(ctor));
+    for (MethodCall& call : body) tc.calls.push_back(std::move(call));
+    return tc;
+}
+
+TEST_F(DriverTest, FailureBlocksNameTheFailingCallByteForByte) {
+    const reflect::Registry registry = strict_registry();
+    const TestRunner runner(registry);
+    const reflect::ClassBinding& binding = registry.at("Strict");
+    const auto push = [](int value) {
+        return strict_call("Push", {domain::Value::make_int(value)});
+    };
+
+    // The constructor's label carries its arguments.
+    const TestResult ctor = runner.run_case(binding, strict_case("TC0", -1, {}));
+    EXPECT_EQ(ctor.verdict, Verdict::AssertionViolation);
+    EXPECT_EQ(ctor.failed_method, "Strict(-1)");
+    EXPECT_EQ(ctor.log,
+              "TestCase TC0\n"
+              "Pre-condition is violated! (limit >= 0 at strict.h:1)\n"
+              "Method called: Strict(-1)\n");
+    EXPECT_EQ(ctor.report, "");
+
+    // A body call's assertion names that call, after a passing one.
+    const TestResult body =
+        runner.run_case(binding, strict_case("TC1", 2, {push(1), push(5)}));
+    EXPECT_EQ(body.verdict, Verdict::AssertionViolation);
+    EXPECT_EQ(body.failed_method, "Push(5)");
+    EXPECT_EQ(body.log,
+              "TestCase TC1\n"
+              "Pre-condition is violated! (value <= limit at strict.h:2)\n"
+              "Method called: Push(5)\n");
+    EXPECT_EQ(body.report, "Strict{1/2}");
+
+    // An out-of-contract call the component accepts keeps its "!" mark.
+    MethodCall lax = push(1);
+    lax.expect_rejection = true;
+    const TestResult accepted =
+        runner.run_case(binding, strict_case("TC2", 2, {std::move(lax)}));
+    EXPECT_EQ(accepted.verdict, Verdict::ContractNotEnforced);
+    EXPECT_EQ(accepted.failed_method, "!Push(1)");
+    EXPECT_EQ(accepted.log,
+              "TestCase TC2\n"
+              "out-of-contract call was accepted\n"
+              "Method called: !Push(1)\n");
+    EXPECT_EQ(accepted.report, "");
+
+    // A failing entry state is named by its marker.
+    TestCase entry = strict_case("TC3", 2, {push(1)});
+    entry.entry_state = "overfull";
+    const TestResult state = runner.run_case(binding, entry);
+    EXPECT_EQ(state.verdict, Verdict::AssertionViolation);
+    EXPECT_EQ(state.failed_method, "<set-state:overfull>");
+    EXPECT_EQ(state.log,
+              "TestCase TC3\n"
+              "Invariant is violated! (count <= limit at strict.h:3)\n"
+              "Method called: <set-state:overfull>\n");
+    EXPECT_EQ(state.report, "");
+}
+
 /// Synthetic components raising each exception family.
 class Exploder : public bit::BuiltInTest {
 public:

@@ -168,6 +168,27 @@ TEST(LiveProjection, AgreesWithModelAbstraction) {
     EXPECT_EQ(binding->project(&live), model->abstract_state());
 }
 
+TEST(LiveProjection, TruncatesPastSixtyFourElementsLikeTheModel) {
+    const driver::ModelBinding* binding = model::binding_for("CObList");
+    ASSERT_NE(binding, nullptr);
+    std::vector<mfc::CInt> values;
+    for (int i = 0; i < 65; ++i) values.emplace_back(i);
+
+    mfc::CObList live;
+    auto model = binding->factory();
+    ASSERT_TRUE(model->construct({}));
+    std::string expected = "count=65 [";
+    for (mfc::CInt& value : values) {
+        (void)live.AddTail(&value);
+        (void)model->apply(add("AddTail", value));
+        if (value.value() < 64) expected += value.ToText() + ", ";
+    }
+    expected += "...]";
+
+    EXPECT_EQ(model->abstract_state(), expected);
+    EXPECT_EQ(binding->project(&live), expected);
+}
+
 // --------------------------------------------------------------- lockstep
 
 class LockstepFixture : public ::testing::Test {
@@ -271,6 +292,57 @@ TEST_F(LockstepFixture, DifferentialClassificationIsModelOnly) {
     EXPECT_EQ(kill.with_model, oracle::KillReason::ModelDivergence);
     EXPECT_EQ(kill.without_model, oracle::KillReason::None);
     EXPECT_TRUE(kill.model_only());
+}
+
+TEST_F(LockstepFixture, DivergenceTextIsPinnedByteForByte) {
+    // Reports and stores carry these texts, and the abstractions they
+    // quote, verbatim.
+    const auto mutants =
+        mutation::enumerate_mutants(mfc::descriptors(), "CObList");
+    mfc::CInt three{3}, seven{7};
+    driver::MethodCall ctor = call("CObList");
+    ctor.is_constructor = true;
+    driver::TestCase tc;
+    tc.id = "TC7";
+    tc.calls = {ctor, add("AddHead", three), add("AddHead", seven),
+                call("RemoveHead")};
+    const reflect::ClassBinding& binding = component_.registry().at("CObList");
+
+    const auto run = [&](const char* mutant_id, bool promote) {
+        const auto* mutant = find_mutant(mutants, mutant_id);
+        EXPECT_NE(mutant, nullptr) << mutant_id;
+        if (mutant == nullptr) return driver::TestResult{};
+        driver::RunnerOptions options;
+        options.model = model::binding_for("CObList");
+        options.promote_divergence = promote;
+        const mutation::MutantActivation activation(*mutant);
+        return driver::TestRunner(component_.registry(), options)
+            .run_case(binding, tc);
+    };
+
+    // The second AddHead does not link the old head: the list's state
+    // diverges.
+    const driver::TestResult state =
+        run("CObList::AddHead@s3.IndVarRepReq.NULL", false);
+    EXPECT_EQ(state.model_divergence,
+              "call 2 AddHead(/* completed by tester: CObject** */): state "
+              "expected \"count=2 [CInt(7), CInt(3)]\" got \"count=2 "
+              "[CInt(7), <short>]\"");
+
+    // RemoveHead returns null: the return diverges, and a promoted
+    // divergence names the call.
+    const driver::TestResult returned =
+        run("CObList::RemoveHead@s7.IndVarRepReq.NULL", true);
+    EXPECT_EQ(returned.verdict, driver::Verdict::ModelDivergence);
+    EXPECT_EQ(returned.model_divergence,
+              "call 3 RemoveHead(): return expected \"CInt(7)\" got "
+              "\"<null>\"");
+    EXPECT_EQ(returned.failed_method, "RemoveHead()");
+    EXPECT_EQ(returned.log,
+              "TestCase TC7\n"
+              "call 3 RemoveHead(): return expected \"CInt(7)\" got "
+              "\"<null>\"\n"
+              "Method called: RemoveHead()\n");
 }
 
 // ------------------------------------------------------ checkpoint resume

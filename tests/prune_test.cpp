@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
@@ -436,6 +437,113 @@ TEST_F(PruneTest, PrunedStoreIsNotResumedUnpruned) {
     const auto third = repruned.run(suite_, mutants_, nullptr);
     EXPECT_EQ(third.stats.resumed, 0u);
     EXPECT_EQ(third.stats.executed, mutants_.size());
+}
+
+// ------------------------------------------------------ prefix signatures
+//
+// Cases whose birth prefixes have equal signatures share one checkpoint,
+// so the signature must tell every two argument values apart.
+
+/// Keeps a real and a key/value pair.  Only Touch() consults a site, so
+/// a case's first hit is its first Touch().
+class Register : public bit::BuiltInTest {
+public:
+    static const MethodDescriptor& touch_descriptor() {
+        static const MethodDescriptor d =
+            MethodDescriptor::Builder("Register", "Touch")
+                .attr("touches_", int_type(), true)
+                .site("touches_", "old count")  // s0
+                .build();
+        return d;
+    }
+
+    void Set(double real) { real_ = real; }
+    void Put(const std::string& key, const std::string& value) {
+        key_ = key;
+        value_ = value;
+    }
+    void Touch() {
+        MutFrame frame(touch_descriptor());
+        frame.bind("touches_", &touches_);
+        touches_ = frame.use(0, touches_) + 1;
+    }
+
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << std::setprecision(17) << "Register{" << real_ << ", " << key_
+           << "=" << value_ << ", " << touches_ << "}";
+    }
+
+private:
+    double real_ = 0;
+    std::string key_;
+    std::string value_;
+    int touches_ = 0;
+};
+
+TEST(PruneSignature, DistinctArgumentsGetDistinctCheckpoints) {
+    reflect::Binder<Register> b("Register");
+    b.ctor<>();
+    b.method("Set", &Register::Set);
+    b.method("Put", &Register::Put);
+    b.method("Touch", &Register::Touch);
+    b.cloner([](const Register& source) { return new Register(source); });
+    reflect::Registry registry;
+    registry.add(b.take());
+    const reflect::ClassBinding& binding = registry.at("Register");
+    const driver::TestRunner runner(registry, {});
+
+    using domain::Value;
+    const auto call = [](const char* name, std::vector<Value> arguments) {
+        driver::MethodCall c;
+        c.method_name = name;
+        c.arguments = std::move(arguments);
+        return c;
+    };
+    // Register(); <first>; Touch(): the first hit is at call 2.
+    const auto make_case = [&](const char* id, driver::MethodCall first) {
+        driver::MethodCall ctor = call("Register", {});
+        ctor.is_constructor = true;
+        driver::TestCase tc;
+        tc.id = id;
+        tc.transaction_text = "hand-built";
+        tc.calls = {ctor, std::move(first), call("Touch", {})};
+        return tc;
+    };
+    // Each pair differs only in the 7th significant digit of a real, or
+    // only in where ";s" splits two strings.
+    const std::vector<std::pair<driver::TestCase, driver::TestCase>> pairs = {
+        {make_case("TCa", call("Set", {Value::make_real(1.0000001)})),
+         make_case("TCb", call("Set", {Value::make_real(1.0000002)}))},
+        {make_case("TCc", call("Put", {Value::make_string("a;sb"),
+                                       Value::make_string("c")})),
+         make_case("TCd", call("Put", {Value::make_string("a"),
+                                       Value::make_string("b;sc")}))},
+    };
+    for (const auto& [first, second] : pairs) {
+        SCOPED_TRACE(first.id + " / " + second.id);
+        driver::TestSuite suite;
+        suite.class_name = "Register";
+        suite.cases = {first, second};
+        const CoveredRun covered =
+            run_with_coverage(registry, driver::RunnerOptions{}, suite);
+        const PrunePlan plan = build_prune_plan(runner, binding, suite,
+                                                covered.index, nullptr,
+                                                nullptr, {});
+        ASSERT_EQ(plan.case_plans.size(), 2u);
+        ASSERT_EQ(plan.case_plans[0].checkpoints.size(), 1u);
+        ASSERT_EQ(plan.case_plans[1].checkpoints.size(), 1u);
+        const driver::CaseCheckpoint& own = plan.case_plans[1].checkpoints[0];
+        EXPECT_EQ(own.resume_call, 2u);
+        EXPECT_NE(own.prototype.get(),
+                  plan.case_plans[0].checkpoints[0].prototype.get());
+
+        const driver::TestResult full = runner.run_case(binding, second);
+        const driver::TestResult resumed =
+            runner.run_case_from(binding, second, own);
+        EXPECT_EQ(resumed.verdict, full.verdict);
+        EXPECT_EQ(resumed.report, full.report);
+    }
 }
 
 // The real components: CObList has pointer-valued arguments (checkpoint
