@@ -90,14 +90,14 @@ struct CampaignOptions {
     /// The fast execution tier (`concat campaign --prune`, the default):
     /// record a coverage-signature index during the golden run, skip
     /// every (mutant, case) pair whose mutation site the case provably
-    /// never reaches, and resume covered cases from shared-prefix
-    /// checkpoints (stc/mutation/prune.h).  Fates are byte-identical to
-    /// the unpruned run — enforced by the differential harness in
-    /// tests/prune_test.cpp — but the store fingerprint absorbs the
-    /// prune-tier version, so pruned and unpruned stores never resume
-    /// into each other.  Silently disengaged when a manual oracle is
-    /// configured (the one detector that can kill a byte-identical
-    /// report); a lockstep model only disables the memoization half.
+    /// never reaches, and resume covered cases from checkpoints of their
+    /// un-mutated prefix (stc/mutation/prune.h).  Fates are
+    /// byte-identical to the unpruned run — enforced by the differential
+    /// harness in tests/prune_test.cpp — but the store fingerprint
+    /// absorbs the prune-tier version, so pruned and unpruned stores
+    /// never resume into each other.  Silently disengaged when a manual
+    /// oracle is configured (the one detector that can kill a
+    /// byte-identical report).
     bool prune = true;
 };
 

@@ -7,7 +7,8 @@
 //   - Session: the immutable campaign, built once — fingerprint, work
 //     list, runners, golden and probe-golden records, coverage index and
 //     prune plan — plus evaluate(index), how every executor scores an
-//     item.
+//     item.  The one thing evaluation adds is each case's checkpoint
+//     ladder, captured once on first use.
 //     Safe to share across pool threads, inherited copy-on-write by
 //     forked sandbox workers, and rebuilt from the Hello config by every
 //     `concat serve` daemon (serve::BuiltinCampaign holds one).

@@ -154,8 +154,9 @@ std::size_t run_sandbox(const Session& session, Ledger& ledger,
     for (const WorkItem& item : pending) payloads.push_back(std::to_string(item.index));
 
     // The session was built pre-fork: the child inherits the golden
-    // records and checkpoint prototypes copy-on-write and never writes
-    // them (clones only), so the pages stay shared.
+    // records copy-on-write and never writes them, so the pages stay
+    // shared.  Each child captures the checkpoint ladders of the cases
+    // it runs (nothing captured them before the fork).
     const sandbox::Job job = [&](const std::string& payload) {
         mutation::PruneStats stats;
         const mutation::MutantOutcome outcome =

@@ -147,22 +147,17 @@ Session::Session(const reflect::Registry& bindings, const driver::TestSuite& sui
         obs.metrics.observe_ms("campaign.phase.baseline_ms", ms_since(phase_start));
     }
 
-    // Shared-prefix checkpoint ladders, built serially on the un-mutated
-    // component.  Read-only afterwards: safe for concurrent workers, and
-    // inherited copy-on-write by forked sandbox children.  Resumed runs
-    // keep the model leg (checkpoints carry the lockstep state), yet
-    // memoization still stands down under a lockstep model until the
-    // prune differential gates cover that input; coverage pruning stays
-    // on.
+    // The prune plan: per-site postings and each case's checkpoint
+    // boundaries.  It executes nothing: the evaluator captures a case's
+    // ladder the first time a mutant runs that case, on whichever pool
+    // thread, sandbox child or daemon gets there first.  Checkpoints
+    // carry the lockstep model's state, so memoization holds under a
+    // model too.
     if (pruned_) {
         const auto phase_start = Clock::now();
         const obs::SpanScope span(obs.tracer, "phase", "prune-plan");
-        mutation::PrunePlanOptions plan_options;
-        plan_options.memoize = !model_;
-        plan_ = mutation::build_prune_plan(
-            runner_, binding_, suite, std::move(coverage),
-            probe_suite != nullptr ? &probe_runner_ : nullptr, probe_suite,
-            std::move(probe_coverage), plan_options);
+        plan_ = mutation::build_prune_plan(binding_, suite, std::move(coverage),
+                                           probe_suite, std::move(probe_coverage));
         obs.metrics.observe_ms("campaign.phase.prune_plan_ms", ms_since(phase_start));
     }
 }
@@ -212,10 +207,10 @@ std::vector<WorkItem> Ledger::start(std::size_t jobs) {
         // run learned, and the digest a reader can correlate across the
         // with/without-prune telemetry of one campaign.
         const mutation::PrunePlan& plan = s.plan();
-        std::size_t checkpoints = 0;
-        for (const auto& cp : plan.case_plans) checkpoints += cp.checkpoints.size();
+        std::size_t checkpoints = 0;  // planned resume points
+        for (const auto& cp : plan.case_plans) checkpoints += cp.boundaries.size();
         for (const auto& cp : plan.probe_case_plans) {
-            checkpoints += cp.checkpoints.size();
+            checkpoints += cp.boundaries.size();
         }
         emit_(JsonObject()
                   .set("event", "coverage-index")

@@ -1,5 +1,6 @@
 #include "stc/domain/value.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "stc/support/error.h"
@@ -83,9 +84,21 @@ std::string Value::to_source() const {
         case ValueKind::Empty: return "/*empty*/";
         case ValueKind::Int: return std::to_string(std::get<std::int64_t>(data_));
         case ValueKind::Real: {
+            // The %g form with the fewest significant digits (at least 6)
+            // that reads back as the same double: generated source passes
+            // exactly the value the suite runs.
+            const double value = std::get<double>(data_);
             char buf[64];
-            std::snprintf(buf, sizeof buf, "%g", std::get<double>(data_));
-            std::string s = buf;
+            char* end = buf;
+            for (int precision = 6; precision <= 17; ++precision) {
+                end = std::to_chars(buf, buf + sizeof buf, value,
+                                    std::chars_format::general, precision)
+                          .ptr;
+                double back = 0;
+                std::from_chars(buf, end, back);
+                if (back == value) break;
+            }
+            std::string s(buf, end);
             // Keep it a double literal in generated source.
             if (s.find_first_of(".eE") == std::string::npos) s += ".0";
             return s;

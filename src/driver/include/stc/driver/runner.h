@@ -115,10 +115,11 @@ protected:
 /// `resume_call`: a behavioural copy of the CUT, the observation stream
 /// accumulated so far, and the lockstep model's state.  Produced by
 /// TestRunner::capture_case on the un-mutated component; consumed by
-/// run_case_from, which replays only the suffix.  Sharing one checkpoint
-/// across every case with an identical birth prefix is the campaign's
-/// shared-prefix memoization (stc/mutation/prune.h); the kill search
-/// keeps one per frontier state (stc/kill/search.h).
+/// run_case_from, which replays only the suffix.  The campaign's
+/// prefix memoization captures one ladder of these per case, the first
+/// time a mutant runs it, and resumes every later mutant from it
+/// (stc/mutation/prune.h); the kill search keeps one per frontier state
+/// (stc/kill/search.h).
 struct CaseCheckpoint {
     std::size_t resume_call = 0;
     std::shared_ptr<void> prototype;  ///< destroyed through the class binding
@@ -173,16 +174,18 @@ public:
 
     /// Run `test_case` un-mutated, capturing a CaseCheckpoint just before
     /// each body call index in `boundaries` (sorted ascending, each in
-    /// [1, calls.size()]; calls.size() is the implicit wrap-up).  Capture
-    /// stops early when the case fails, a boundary lies past an explicit
-    /// destructor, or a clone refuses; the returned vector holds whatever
-    /// was captured.  Returns empty when the class has no cloner.
+    /// [1, calls.size()]; calls.size() is the implicit wrap-up).  The run
+    /// stops right after the last checkpoint: nothing past it executes.
+    /// Capture stops early when the case fails, a boundary lies past an
+    /// explicit destructor, or a clone refuses; the returned vector holds
+    /// whatever was captured.  Returns empty when the class has no
+    /// cloner.
     [[nodiscard]] std::vector<CaseCheckpoint> capture_case(
         const reflect::ClassBinding& binding, const TestCase& test_case,
         const std::vector<std::size_t>& boundaries) const;
 
-    /// capture_case and run_case in one execution: the result of the run
-    /// plus the checkpoints it captured.  A non-null `from` resumes there
+    /// capture_case and run_case in one execution: the result of the full
+    /// run plus the checkpoints it captured.  A non-null `from` resumes there
     /// as in run_case_from (boundaries then lie past its resume_call).
     struct CapturedRun {
         TestResult result;
@@ -212,7 +215,8 @@ private:
                              const TestCase& test_case,
                              const CaseCheckpoint* resume,
                              const std::vector<std::size_t>* boundaries,
-                             std::vector<CaseCheckpoint>* captured) const;
+                             std::vector<CaseCheckpoint>* captured,
+                             bool capture_only) const;
 
     const reflect::Registry& registry_;
     RunnerOptions options_;

@@ -108,7 +108,7 @@ std::string render_return(const domain::Value& v) {
 
 TestResult TestRunner::run_case(const reflect::ClassBinding& binding,
                                 const TestCase& test_case) const {
-    return run_case_impl(binding, test_case, nullptr, nullptr, nullptr);
+    return run_case_impl(binding, test_case, nullptr, nullptr, nullptr, false);
 }
 
 std::vector<CaseCheckpoint> TestRunner::capture_case(
@@ -116,7 +116,7 @@ std::vector<CaseCheckpoint> TestRunner::capture_case(
     const std::vector<std::size_t>& boundaries) const {
     std::vector<CaseCheckpoint> out;
     if (boundaries.empty() || !binding.has_cloner()) return out;
-    (void)run_case_impl(binding, test_case, nullptr, &boundaries, &out);
+    (void)run_case_impl(binding, test_case, nullptr, &boundaries, &out, true);
     return out;
 }
 
@@ -126,21 +126,23 @@ TestRunner::CapturedRun TestRunner::run_and_capture(
     const CaseCheckpoint* from) const {
     CapturedRun out;
     out.result = run_case_impl(binding, test_case, from, &boundaries,
-                               &out.checkpoints);
+                               &out.checkpoints, false);
     return out;
 }
 
 TestResult TestRunner::run_case_from(const reflect::ClassBinding& binding,
                                      const TestCase& test_case,
                                      const CaseCheckpoint& checkpoint) const {
-    return run_case_impl(binding, test_case, &checkpoint, nullptr, nullptr);
+    return run_case_impl(binding, test_case, &checkpoint, nullptr, nullptr,
+                         false);
 }
 
 TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                                      const TestCase& test_case,
                                      const CaseCheckpoint* resume,
                                      const std::vector<std::size_t>* boundaries,
-                                     std::vector<CaseCheckpoint>* captured) const {
+                                     std::vector<CaseCheckpoint>* captured,
+                                     bool capture_only) const {
     TestResult result;
     result.case_id = test_case.id;
 
@@ -379,6 +381,9 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
     };
     // Boundaries are visited in order; the one at `call_index`, if any,
     // is captured.  A boundary at calls.size() is the implicit wrap-up.
+    // Returns true when a capture-only run (capture_case) is done — its
+    // last checkpoint taken, or capture stopped — since nothing past that
+    // point is ever read.
     auto capture_at = [&](std::size_t call_index) {
         while (next_boundary < boundaries->size() &&
                (*boundaries)[next_boundary] < call_index) {
@@ -389,6 +394,8 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             capturing = snapshot(call_index);
             ++next_boundary;
         }
+        return capture_only &&
+               (!capturing || next_boundary == boundaries->size());
     };
 
     // --- Body: methods along the transaction, invariant around each -------
@@ -397,7 +404,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             resume != nullptr ? resume->resume_call : 1;
         for (std::size_t i = first_call; i < test_case.calls.size(); ++i) {
             if (observer != nullptr) observer->on_call(i);
-            if (capturing) capture_at(i);
+            if (capturing && capture_at(i)) return result;
             const MethodCall& call = test_case.calls[i];
             current_call = &call;
             options_.obs.metrics.add("runner.method_calls");
@@ -489,7 +496,9 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                 if (observer != nullptr) {
                     observer->on_call(test_case.calls.size());
                 }
-                if (capturing) capture_at(test_case.calls.size());
+                if (capturing && capture_at(test_case.calls.size())) {
+                    return result;
+                }
                 state_report = capture_state(binding, cut.get());
                 cut.reset();
             }

@@ -104,7 +104,7 @@ public:
     [[nodiscard]] std::string ToText() const override;
 
     /// Representation-faithful copy for campaign checkpoint memoization
-    /// (stc::mutation::build_prune_plan): rebuilds this freshly
+    /// (stc::mutation::CasePlan::ladder): rebuilds this freshly
     /// constructed, empty list into an isomorphic image of `source` —
     /// node-pool graph, element chain, free-list order and count.  A
     /// behavioural copy (re-AddTail the elements) is NOT enough: a

@@ -35,13 +35,29 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-void absorb(std::uint64_t& h, std::string_view text) noexcept {
+void absorb_bytes(std::uint64_t& h, std::string_view text) noexcept {
     for (const char c : text) {
         h ^= static_cast<unsigned char>(c);
         h *= kFnvPrime;
     }
+}
+
+void absorb(std::uint64_t& h, std::string_view text) noexcept {
+    absorb_bytes(h, text);
     h ^= 0x1f;  // separator so ("ab","c") != ("a","bc")
     h *= kFnvPrime;
+}
+
+/// Absorbs `method`'s qualified name ("Class::Method") as absorb would,
+/// without building the string.
+void absorb_qualified(std::uint64_t& h, const MethodDescriptor* method) noexcept {
+    if (method == nullptr) {
+        absorb(h, "?");
+        return;
+    }
+    absorb_bytes(h, method->class_name());
+    absorb_bytes(h, "::");
+    absorb(h, method->method_name());
 }
 
 void absorb(std::uint64_t& h, std::uint64_t value) noexcept {
@@ -59,8 +75,7 @@ std::uint64_t CoverageIndex::fingerprint() const noexcept {
     for (const auto& cc : cases_) {
         absorb(h, cc.case_id);
         for (const auto& [key, call_index] : cc.first_hit) {
-            absorb(h, key.first != nullptr ? key.first->qualified_name()
-                                           : std::string("?"));
+            absorb_qualified(h, key.first);
             absorb(h, static_cast<std::uint64_t>(key.second));
             absorb(h, static_cast<std::uint64_t>(call_index));
         }

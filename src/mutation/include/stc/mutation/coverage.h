@@ -12,8 +12,8 @@
 // cases with their first-hit calls):
 //   * pruning — a (mutant, case) pair whose site the case provably never
 //     reaches executes byte-identically to golden and can be skipped;
-//   * memoization — the first-hit call index bounds how deep a shared
-//     prefix checkpoint may sit while staying fate-identical.
+//   * memoization — the first-hit call index bounds how deep a checkpoint
+//     of the un-mutated prefix may sit while staying fate-identical.
 // The recorder itself stays a per-case map, so other users of
 // run_with_coverage pay nothing for the inversion.  (The kill search,
 // which needs one site's first hit per candidate, uses its own

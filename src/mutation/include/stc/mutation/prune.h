@@ -1,5 +1,5 @@
 // The fast campaign execution tier: coverage-signature pruning,
-// shared-prefix memoization, and a stop at the first crash kill.
+// per-case prefix memoization, and a stop at the first crash kill.
 //
 // All three rest on one determinism fact: an execution that never
 // consults a mutant's use-site is byte-identical to the golden run.
@@ -19,22 +19,24 @@
 //
 // The coverage index is inverted once per plan into per-site postings,
 // so choosing a mutant's covering cases — and each one's resume bound —
-// is one lookup.  Checkpoints are behavioural copies (ClassBinding
-// cloner) captured once per distinct birth prefix on the un-mutated
-// component and shared by every case with that prefix and by every
-// mutant — the "execute the un-mutated prefix once per group"
+// is one lookup.  The plan fixes each case's checkpoint boundaries up
+// front; the checkpoints themselves (behavioural copies through the
+// ClassBinding cloner) are captured on the un-mutated component the
+// first time a mutant runs the case, once per process, and then serve
+// every later mutant — the "execute the un-mutated prefix once"
 // memoization.  Fate identity with evaluate_mutant is the contract,
 // enforced end-to-end by the differential harness in
-// tests/prune_test.cpp.
+// tests/prune_test.cpp, with and without a lockstep model (checkpoints
+// carry the model's state, so resumed suffixes keep their compares).
 //
 // Manual oracles are the one detector that breaks the premise (they may
 // reject a byte-identical Pass report), so the campaign scheduler keeps
-// pruning off whenever one is configured; a lockstep model only gates
-// the memoization half (resumed suffixes skip model comparison).
+// pruning off whenever one is configured.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "stc/mutation/coverage.h"
@@ -51,10 +53,28 @@ namespace stc::mutation {
 inline constexpr std::uint64_t kPruneIndexVersion = 1;
 inline constexpr const char* kPruneIndexToken = "prune-index-v1";
 
-/// Per-case checkpoint ladder, ascending by resume_call.  The evaluator
-/// picks the deepest checkpoint not past the mutant's first-hit call.
-struct CasePlan {
-    std::vector<driver::CaseCheckpoint> checkpoints;
+/// One case's checkpoint ladder.  The boundaries are planned with the
+/// prune plan; the checkpoints are captured from them the first time a
+/// mutant runs the case, and read by every later one.
+class CasePlan {
+public:
+    /// Planned resume points: the case's distinct first-hit calls,
+    /// ascending, at most six.  Empty when the binding has no cloner.
+    std::vector<std::size_t> boundaries;
+
+    /// The checkpoints at `boundaries`, ascending by resume_call: fewer
+    /// when capture stopped early (the case fails, a clone refuses).
+    /// The first caller captures them with `runner`, which must be the
+    /// runner that later resumes from them; concurrent callers wait for
+    /// that capture, then read.  Must be called with no mutant active
+    /// (ContractError otherwise).
+    [[nodiscard]] const std::vector<driver::CaseCheckpoint>& ladder(
+        const driver::TestRunner& runner, const reflect::ClassBinding& binding,
+        const driver::TestCase& test_case) const;
+
+private:
+    mutable std::once_flag captured_;
+    mutable std::vector<driver::CaseCheckpoint> checkpoints_;
 };
 
 /// One case that reaches a mutation site: its position in the suite
@@ -84,11 +104,12 @@ private:
 
 /// Everything the pruned evaluator needs besides the golden records:
 /// coverage indices for suite and probe, their per-site postings, and
-/// the shared-prefix checkpoint ladders (index-aligned with the
-/// respective case lists).  Built once, before the parallel phase, on
-/// the un-mutated component; read-only afterwards (checkpoint
-/// prototypes are cloned, never mutated, so concurrent evaluation and
-/// copy-on-write fork inheritance under --isolate are both safe).
+/// the per-case checkpoint ladders (index-aligned with the respective
+/// case lists).  Built once, before any executor starts; shared by
+/// concurrent evaluations afterwards, which capture each ladder once on
+/// first use.  Checkpoint prototypes are cloned, never mutated.  A
+/// forked sandbox child inherits ladders nothing has captured yet and
+/// captures the ones it runs.
 struct PrunePlan {
     CoverageIndex coverage;
     CoverageIndex probe_coverage;
@@ -116,35 +137,30 @@ struct PruneStats {
     }
 };
 
-struct PrunePlanOptions {
-    /// Disable the memoization half entirely (pruning still applies);
-    /// set when a lockstep model is attached to the runner.
-    bool memoize = true;
-};
-
-/// Build the postings and checkpoint ladders for `suite` (and
-/// `probe_suite`, which may be null along with `probe_runner`) from
-/// their recorded coverage.  `coverage` and `probe_coverage` are moved
-/// into the returned plan.
-/// Runs each distinct birth prefix once on the un-mutated component;
-/// must be called with no mutant active.  Suite and probe ladders are
-/// captured with their own runners (probe observations differ — it
-/// observes every call) and never shared across the two.
-[[nodiscard]] PrunePlan build_prune_plan(
-    const driver::TestRunner& runner, const reflect::ClassBinding& binding,
-    const driver::TestSuite& suite, CoverageIndex coverage,
-    const driver::TestRunner* probe_runner, const driver::TestSuite* probe_suite,
-    CoverageIndex probe_coverage, const PrunePlanOptions& options = {});
+/// Build the postings and plan the checkpoint boundaries for `suite`
+/// (and `probe_suite`, which may be null) from their recorded coverage.
+/// `coverage` and `probe_coverage` are moved into the returned plan.
+/// Executes nothing: each ladder is captured on first use, with the
+/// runner that evaluates its suite (probe observations differ, since the
+/// probe observes every call, so suite and probe ladders never mix).
+[[nodiscard]] PrunePlan build_prune_plan(const reflect::ClassBinding& binding,
+                                         const driver::TestSuite& suite,
+                                         CoverageIndex coverage,
+                                         const driver::TestSuite* probe_suite,
+                                         CoverageIndex probe_coverage);
 
 /// Drop-in replacement for evaluate_mutant: identical fates (the
 /// differential harness in tests/prune_test.cpp is the net), ~an order
 /// of magnitude less execution.  Runs each leg's covering cases in suite
 /// order and stops the leg at its first crash kill; every pair not run
-/// counts as pruned, so executed + pruned covers each leg's cases.  `probe_runner`/`probe_suite` may be
-/// null (no equivalence probing).  `options.manual_oracle` must be
-/// empty — callers gate pruning off instead.  Thread-safe under the
-/// same conditions as evaluate_mutant; `stats`, when given, is summed
-/// into without synchronisation (use one per worker).
+/// counts as pruned, so executed + pruned covers each leg's cases.  The
+/// mutant is active only while a case runs, so a case's ladder is
+/// captured un-mutated the first time any evaluation needs it.
+/// `probe_runner`/`probe_suite` may be null (no equivalence probing).
+/// `options.manual_oracle` must be empty — callers gate pruning off
+/// instead.  Thread-safe under the same conditions as evaluate_mutant;
+/// `stats`, when given, is summed into without synchronisation (use one
+/// per worker).
 [[nodiscard]] MutantOutcome evaluate_mutant_pruned(
     const Mutant& mutant, const driver::TestRunner& runner,
     const reflect::ClassBinding& binding, const driver::TestSuite& suite,

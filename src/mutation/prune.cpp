@@ -1,165 +1,80 @@
 #include "stc/mutation/prune.h"
 
-#include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <set>
-#include <string_view>
-
-#include "stc/support/strings.h"
 
 namespace stc::mutation {
 
 namespace {
 
-/// Cap on checkpoints captured per distinct case (boundaries are the
-/// case's distinct first-hit call indices, shallowest first).
+/// Cap on checkpoints planned per case (boundaries are the case's
+/// distinct first-hit call indices, shallowest first).
 constexpr std::size_t kMaxCheckpointsPerCase = 6;
-/// Capture no checkpoint shallower than this body-call index (resuming
+/// Plan no checkpoint shallower than this body-call index (resuming
 /// at call 1 saves only the constructor).
 constexpr std::size_t kMinResumeCall = 2;
 
-/// A string prefixed by its length, so no content can read as a
-/// delimiter.
-void append_counted(std::string& out, std::string_view text) {
-    support::append_integer(out, text.size());
-    out += ':';
-    out += text;
-}
-
-/// Identity-exact encoding of one argument value.  Reals are written in
-/// their shortest round-trip form and strings with their length, so two
-/// distinct values never share an encoding.  Pointer/object arguments
-/// encode their *address*: two prefixes only share a checkpoint when
-/// they pass the very same objects, which is the only sharing that is
-/// sound without knowing the component's semantics (value-equal but
-/// distinct elements could later be distinguished by identity, e.g.
-/// CObList::Find).
-void encode_value(std::string& out, const domain::Value& v) {
-    switch (v.kind()) {
-        case domain::ValueKind::Empty: out += 'e'; break;
-        case domain::ValueKind::Int:
-            out += 'i';
-            support::append_integer(out, v.as_int());
-            break;
-        case domain::ValueKind::Real: {
-            out += 'r';
-            char buffer[32];
-            const auto [end, ec] =
-                std::to_chars(buffer, buffer + sizeof buffer, v.as_number());
-            (void)ec;  // the shortest form of a double fits in 32 bytes
-            out.append(buffer, end);
-            break;
-        }
-        case domain::ValueKind::String:
-            out += 's';
-            append_counted(out, v.as_string());
-            break;
-        case domain::ValueKind::Pointer:
-            out += 'p';
-            support::append_integer(
-                out, reinterpret_cast<std::uintptr_t>(v.as_pointer()), 16);
-            break;
-        case domain::ValueKind::Object:
-            out += 'o';
-            support::append_integer(
-                out, reinterpret_cast<std::uintptr_t>(v.as_object().ptr), 16);
-            break;
-    }
-    out += ';';
-}
-
-/// Signature of a case's birth prefix: entry state plus calls[0..depth).
-/// Cases with equal signatures execute identically up to body call
-/// `depth`, so a checkpoint captured from one serves them all.
-std::string prefix_signature(const driver::TestCase& tc, std::size_t depth) {
-    std::string out;
-    append_counted(out, tc.entry_state);
-    out += '\x1f';
-    for (std::size_t j = 0; j < depth && j < tc.calls.size(); ++j) {
-        const driver::MethodCall& call = tc.calls[j];
-        out += call.method_name;
-        out += '(';
-        for (const domain::Value& v : call.arguments) encode_value(out, v);
-        out += ')';
-        out += call.expect_rejection ? '!' : '.';
-        out += call.is_destructor ? '~' : '.';
-        out += '\x1f';
-    }
-    return out;
-}
-
-std::vector<CasePlan> build_ladders(
-    const driver::TestRunner& runner, const reflect::ClassBinding& binding,
-    const driver::TestSuite& suite, const CoverageIndex& coverage,
-    std::map<std::string, driver::CaseCheckpoint>& cache) {
+std::vector<CasePlan> plan_ladders(const reflect::ClassBinding& binding,
+                                   const driver::TestSuite& suite,
+                                   const CoverageIndex& coverage) {
     std::vector<CasePlan> plans(suite.cases.size());
+    if (!binding.has_cloner()) return plans;  // nothing to resume from
     for (std::size_t i = 0; i < suite.cases.size(); ++i) {
         const driver::TestCase& tc = suite.cases[i];
         const CoverageIndex::CaseCoverage* cc = coverage.find(tc.id);
         if (cc == nullptr || tc.calls.size() < 2) continue;
 
-        // Candidate boundaries: the case's distinct first-hit call
-        // indices.  A checkpoint anywhere else would either be unusable
-        // (past every first hit) or dominated by one of these.
+        // Boundaries: the case's distinct first-hit call indices.  A
+        // checkpoint anywhere else would either be unusable (past every
+        // first hit) or dominated by one of these.
         std::set<std::size_t> bounds;
         const std::size_t deepest = tc.calls.size() - 1;
         for (const auto& [key, h] : cc->first_hit) {
             if (h >= kMinResumeCall && h <= deepest) bounds.insert(h);
         }
-
-        std::vector<driver::CaseCheckpoint>& ladder = plans[i].checkpoints;
-        std::vector<std::size_t> need;
-        std::size_t kept = 0;
+        std::vector<std::size_t>& planned = plans[i].boundaries;
         for (const std::size_t k : bounds) {
-            if (kept >= kMaxCheckpointsPerCase) break;
-            ++kept;
-            const auto it = cache.find(prefix_signature(tc, k));
-            if (it != cache.end()) {
-                driver::CaseCheckpoint shared = it->second;
-                shared.resume_call = k;  // same prefix, this case's depth
-                ladder.push_back(std::move(shared));
-            } else {
-                need.push_back(k);
-            }
+            if (planned.size() >= kMaxCheckpointsPerCase) break;
+            planned.push_back(k);
         }
-        if (!need.empty()) {
-            for (driver::CaseCheckpoint& cp :
-                 runner.capture_case(binding, tc, need)) {
-                cache.emplace(prefix_signature(tc, cp.resume_call), cp);
-                ladder.push_back(std::move(cp));
-            }
-        }
-        std::sort(ladder.begin(), ladder.end(),
-                  [](const driver::CaseCheckpoint& a,
-                     const driver::CaseCheckpoint& b) {
-                      return a.resume_call < b.resume_call;
-                  });
     }
     return plans;
 }
 
-/// Run one covering case, resumed from the deepest checkpoint at or
-/// before the posting's first hit (execution is un-mutated until then).
+/// The deepest checkpoint at or before the posting's first hit
+/// (execution is un-mutated until then), capturing the case's ladder if
+/// this is its first use; null when no planned boundary is that shallow.
+const driver::CaseCheckpoint* resume_point(const driver::TestRunner& runner,
+                                           const reflect::ClassBinding& binding,
+                                           const driver::TestCase& tc,
+                                           const SitePosting& posting,
+                                           const std::vector<CasePlan>& plans) {
+    if (posting.case_index >= plans.size()) return nullptr;
+    const CasePlan& plan = plans[posting.case_index];
+    if (plan.boundaries.empty() || plan.boundaries.front() > posting.first_hit) {
+        return nullptr;
+    }
+    const driver::CaseCheckpoint* best = nullptr;
+    for (const driver::CaseCheckpoint& cp : plan.ladder(runner, binding, tc)) {
+        if (cp.resume_call > posting.first_hit) break;
+        best = &cp;
+    }
+    return best;
+}
+
+/// Run one covering case under the active mutant, from `from` when
+/// given.
 driver::TestResult run_one(const driver::TestRunner& runner,
                            const reflect::ClassBinding& binding,
-                           const driver::TestCase& tc, const SitePosting& posting,
-                           const std::vector<CasePlan>& plans, PruneStats& stats) {
+                           const driver::TestCase& tc,
+                           const driver::CaseCheckpoint* from, PruneStats& stats) {
     ++stats.executed_pairs;
-    const driver::CaseCheckpoint* best = nullptr;
-    if (posting.case_index < plans.size()) {
-        for (const driver::CaseCheckpoint& cp : plans[posting.case_index].checkpoints) {
-            if (cp.resume_call > posting.first_hit) break;
-            best = &cp;
-        }
-    }
-    if (best != nullptr) {
+    if (from != nullptr) {
         try {
-            driver::TestResult r = runner.run_case_from(binding, tc, *best);
+            driver::TestResult r = runner.run_case_from(binding, tc, *from);
             ++stats.memoized_pairs;
-            stats.memoized_calls += best->resume_call - 1;
+            stats.memoized_calls += from->resume_call - 1;
             return r;
         } catch (const ReflectError&) {
             // Clone refused at evaluation time: full run is always sound.
@@ -185,17 +100,23 @@ bool run_leg(const Mutant& mutant, const driver::TestRunner& runner,
     std::size_t executed = 0;
     bool hit = false;
     if (!covering.empty()) {
-        const MutantActivation activation(mutant);
         for (const SitePosting& posting : covering) {
             if (fold.saturated()) break;
             const driver::TestCase& tc = suite.cases[posting.case_index];
-            const driver::TestResult result =
-                run_one(runner, binding, tc, posting, plans, stats);
+            // Before activation: a first use captures the ladder, and
+            // capture must run the un-mutated component.
+            const driver::CaseCheckpoint* from =
+                resume_point(runner, binding, tc, posting, plans);
+            driver::TestResult result;
+            {
+                const MutantActivation activation(mutant);  // resets hit()
+                result = run_one(runner, binding, tc, from, stats);
+                hit = MutationController::instance().hit() || hit;
+            }
             ++executed;
             const oracle::GoldenEntry* entry = golden.find(posting.case_index, tc.id);
             if (entry != nullptr) fold.add(*entry, result);
         }
-        hit = MutationController::instance().hit();
         const obs::SpanScope span(obs.tracer, "oracle-compare",
                                   differential ? "classify-suite-differential"
                                                : "classify-suite");
@@ -224,33 +145,31 @@ const std::vector<SitePosting>& SitePostings::of(const Mutant& mutant) const {
     return it != by_site_.end() ? it->second : kNone;
 }
 
-PrunePlan build_prune_plan(const driver::TestRunner& runner,
-                           const reflect::ClassBinding& binding,
+const std::vector<driver::CaseCheckpoint>& CasePlan::ladder(
+    const driver::TestRunner& runner, const reflect::ClassBinding& binding,
+    const driver::TestCase& test_case) const {
+    if (MutationController::instance().any_active()) {
+        throw ContractError("checkpoint capture with a mutant active");
+    }
+    std::call_once(captured_, [&] {
+        checkpoints_ = runner.capture_case(binding, test_case, boundaries);
+    });
+    return checkpoints_;
+}
+
+PrunePlan build_prune_plan(const reflect::ClassBinding& binding,
                            const driver::TestSuite& suite, CoverageIndex coverage,
-                           const driver::TestRunner* probe_runner,
                            const driver::TestSuite* probe_suite,
-                           CoverageIndex probe_coverage,
-                           const PrunePlanOptions& options) {
+                           CoverageIndex probe_coverage) {
     PrunePlan plan;
     plan.coverage = std::move(coverage);
     plan.probe_coverage = std::move(probe_coverage);
     plan.postings = SitePostings(plan.coverage, suite);
-    plan.case_plans.resize(suite.cases.size());
+    plan.case_plans = plan_ladders(binding, suite, plan.coverage);
     if (probe_suite != nullptr) {
         plan.probe_postings = SitePostings(plan.probe_coverage, *probe_suite);
-        plan.probe_case_plans.resize(probe_suite->cases.size());
-    }
-    if (!options.memoize || !binding.has_cloner()) return plan;
-
-    {
-        std::map<std::string, driver::CaseCheckpoint> cache;
-        plan.case_plans =
-            build_ladders(runner, binding, suite, plan.coverage, cache);
-    }
-    if (probe_suite != nullptr && probe_runner != nullptr) {
-        std::map<std::string, driver::CaseCheckpoint> cache;
-        plan.probe_case_plans = build_ladders(*probe_runner, binding, *probe_suite,
-                                              plan.probe_coverage, cache);
+        plan.probe_case_plans =
+            plan_ladders(binding, *probe_suite, plan.probe_coverage);
     }
     return plan;
 }

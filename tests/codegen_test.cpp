@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "product_component.h"
 #include "stc/codegen/driver_codegen.h"
 #include "stc/driver/generator.h"
+#include "stc/tspec/parser.h"
 #include "test_component.h"
 
 namespace stc::codegen {
@@ -135,6 +139,42 @@ TEST_F(CodegenTest, StringArgumentsAreEscaped) {
     const auto suite = driver::DriverGenerator(spec).generate();
     const std::string src = DriverCodegen(spec).suite_source(suite);
     EXPECT_NE(src.find("Say(\"he\\\"llo\")"), std::string::npos);
+}
+
+TEST(CodegenRealLiterals, RoundTripToTheSuiteValue) {
+    // UpdatePrice(p) takes a real drawn from [0.01, 9999.99]: the driver
+    // must pass, and a failure must name, exactly the value the suite
+    // runs, not a 6-digit rounding of it.
+    const tspec::ComponentSpec spec =
+        tspec::parse_tspec(examples::product_tspec_text());
+    const driver::TestSuite suite = driver::DriverGenerator(spec).generate();
+    const DriverCodegen generator(spec);
+    const auto literal_after = [](const std::string& text,
+                                  const std::string& prefix) {
+        const std::size_t at = text.find(prefix);
+        if (at == std::string::npos) return std::string();
+        const std::size_t begin = at + prefix.size();
+        return text.substr(begin, text.find(')', begin) - begin);
+    };
+    std::size_t checked = 0;
+    for (const driver::TestCase& tc : suite.cases) {
+        const std::string src = generator.test_case_source(tc);
+        for (const driver::MethodCall& call : tc.calls) {
+            if (call.method_name != "UpdatePrice") continue;
+            ASSERT_EQ(call.arguments.size(), 1u);
+            const double value = call.arguments[0].as_real();
+            const std::string in_driver = literal_after(src, "CUT->UpdatePrice(");
+            const std::string in_label = literal_after(call.render(), "UpdatePrice(");
+            ASSERT_FALSE(in_driver.empty()) << tc.id;
+            EXPECT_EQ(std::strtod(in_driver.c_str(), nullptr), value)
+                << tc.id << ": " << in_driver;
+            EXPECT_EQ(std::strtod(in_label.c_str(), nullptr), value)
+                << tc.id << ": " << in_label;
+            ++checked;
+            break;  // the driver's first UpdatePrice is this call
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -568,5 +568,60 @@ TEST_F(DriverTest, ResumedRunsCarryAnEarlierDivergence) {
     EXPECT_GT(carried, 0u);
 }
 
+/// The call indices one run enters, in order.
+class CallTrace final : public CaseObserver {
+public:
+    void on_case_begin(const TestCase&) override { calls.clear(); }
+    void on_call(std::size_t call_index) override { calls.push_back(call_index); }
+
+    std::vector<std::size_t> calls;
+};
+
+TEST_F(DriverTest, CaptureCaseStopsAfterItsLastBoundary) {
+    reflect::ClassBinding binding = stc::testing::counter_binding();
+    binding.set_cloner([](const void* object) -> void* {
+        return new stc::testing::Counter(
+            *static_cast<const stc::testing::Counter*>(object));
+    });
+    const TestSuite suite = DriverGenerator(spec_).generate();
+    CallTrace trace;
+    RunnerOptions options;
+    options.observer = &trace;
+    options.obs.metrics = obs::Metrics::make();
+    const TestRunner runner(registry_, options);
+
+    std::size_t checked = 0;
+    for (const TestCase& tc : suite.cases) {
+        if (tc.calls.size() < 4) continue;
+        SCOPED_TRACE(tc.id);
+        const TestResult full = runner.run_case(binding, tc);
+        if (!full.passed()) continue;
+        // A ladder that ends two calls before the destructor.
+        const std::size_t last = tc.calls.size() - 2;
+        std::vector<std::size_t> boundaries;
+        for (std::size_t k = 1; k <= last; ++k) boundaries.push_back(k);
+
+        const std::uint64_t calls_before =
+            options.obs.metrics.counter("runner.method_calls");
+        const std::vector<CaseCheckpoint> ladder =
+            runner.capture_case(binding, tc, boundaries);
+        ASSERT_EQ(ladder.size(), boundaries.size());
+        // Entered up to the last boundary, executed only the calls before it.
+        EXPECT_EQ(trace.calls, boundaries);
+        EXPECT_EQ(options.obs.metrics.counter("runner.method_calls") - calls_before,
+                  last - 1);
+
+        for (const CaseCheckpoint& checkpoint : ladder) {
+            const TestResult resumed = runner.run_case_from(binding, tc, checkpoint);
+            EXPECT_EQ(resumed.verdict, full.verdict) << checkpoint.resume_call;
+            EXPECT_EQ(resumed.message, full.message) << checkpoint.resume_call;
+            EXPECT_EQ(resumed.report, full.report) << checkpoint.resume_call;
+            EXPECT_EQ(resumed.log, full.log) << checkpoint.resume_call;
+        }
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 }  // namespace
 }  // namespace stc::driver

@@ -330,7 +330,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationAlgebra, ::testing::Values(31, 41, 59));
 class PruneEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PruneEquivalence, PrunedEvaluationIsFateIdenticalPerMutant) {
-    // The fast campaign tier (coverage-signature pruning + shared-prefix
+    // The fast campaign tier (coverage-signature pruning + per-case prefix
     // memoization) must be invisible in every reported fate: for any
     // generated suite/probe pair and every mutant, evaluate_mutant_pruned
     // classifies exactly as the exhaustive evaluate_mutant — while
@@ -370,13 +370,13 @@ TEST_P(PruneEquivalence, PrunedEvaluationIsFateIdenticalPerMutant) {
     const auto probe_golden = oracle::GoldenRecord::from(probe_runner.run(probe));
 
     // Pruned leg: coverage index from the instrumented golden run, then
-    // the shared-prefix checkpoint ladders.
+    // the plan (each case's checkpoint ladder is captured on first use).
     auto covered = mutation::run_with_coverage(registry, options.runner, suite);
     auto probe_covered = mutation::run_with_coverage(registry, probe_opts, probe);
     ASSERT_EQ(covered.result.results.size(), golden.size());
-    const mutation::PrunePlan plan = mutation::build_prune_plan(
-        runner, binding, suite, std::move(covered.index), &probe_runner, &probe,
-        std::move(probe_covered.index));
+    const mutation::PrunePlan plan =
+        mutation::build_prune_plan(binding, suite, std::move(covered.index),
+                                   &probe, std::move(probe_covered.index));
 
     mutation::PruneStats stats;
     for (const auto& mutant : mutants) {

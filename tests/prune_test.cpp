@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -135,6 +138,15 @@ TEST_F(PruneTest, IndexFingerprintTracksSuiteAndCoverage) {
     EXPECT_NE(a.index.fingerprint(), c.index.fingerprint());
 }
 
+TEST_F(PruneTest, IndexFingerprintIsPinned) {
+    // The digest is a pointer-free FNV-1a over (case id, qualified method
+    // name, site, first hit); telemetry readers correlate runs by it, so
+    // its value must not drift.
+    const CoveredRun covered =
+        run_with_coverage(registry_, driver::RunnerOptions{}, suite_);
+    EXPECT_EQ(covered.index.fingerprint(), 0x0016253c88305209ULL);
+}
+
 TEST_F(PruneTest, NestedCoverageScopeThrows) {
     CoverageIndex index;
     CoverageRecorder recorder(index);
@@ -161,8 +173,7 @@ TEST_F(PruneTest, UnreachedMutantIsNotCoveredWithoutExecuting) {
         run_with_coverage(registry_, driver::RunnerOptions{}, uncovering);
     const auto golden = oracle::GoldenRecord::from(covered.result);
     const PrunePlan plan =
-        build_prune_plan(runner, binding(), uncovering, covered.index,
-                         nullptr, nullptr, {});
+        build_prune_plan(binding(), uncovering, covered.index, nullptr, {});
     const EngineOptions options;
 
     for (const Mutant& mutant : mutants_) {
@@ -186,7 +197,8 @@ TEST_F(PruneTest, UnreachedMutantIsNotCoveredWithoutExecuting) {
 TEST_F(PruneTest, MemoizationResumesPastTheUninstrumentedPrefix) {
     // Hand-built case whose first site consult happens at body call 4:
     // the plan must checkpoint there, and the pruned evaluator must skip
-    // the three un-mutated calls before it — fate-identically.
+    // the three un-mutated calls before it — fate-identically.  The
+    // ladder is captured when the first mutant runs the case.
     auto call = [](const char* id, const char* name) {
         driver::MethodCall c;
         c.method_id = id;
@@ -213,12 +225,11 @@ TEST_F(PruneTest, MemoizationResumesPastTheUninstrumentedPrefix) {
         run_with_coverage(registry_, driver::RunnerOptions{}, suite);
     ASSERT_EQ(covered.index.first_hit(tc.id, mutants_.front()), 4u);
     const auto golden = oracle::GoldenRecord::from(covered.result);
-    const PrunePlan plan = build_prune_plan(runner, binding(), suite,
-                                            covered.index, nullptr, nullptr,
-                                            {});
+    const PrunePlan plan =
+        build_prune_plan(binding(), suite, covered.index, nullptr, {});
     ASSERT_EQ(plan.case_plans.size(), 1u);
-    ASSERT_FALSE(plan.case_plans[0].checkpoints.empty());
-    EXPECT_EQ(plan.case_plans[0].checkpoints.back().resume_call, 4u);
+    ASSERT_FALSE(plan.case_plans[0].boundaries.empty());
+    EXPECT_EQ(plan.case_plans[0].boundaries.back(), 4u);
 
     const EngineOptions options;
     for (const Mutant& mutant : mutants_) {
@@ -236,6 +247,11 @@ TEST_F(PruneTest, MemoizationResumesPastTheUninstrumentedPrefix) {
         EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
     }
+
+    const std::vector<driver::CaseCheckpoint>& ladder =
+        plan.case_plans[0].ladder(runner, binding(), tc);
+    ASSERT_FALSE(ladder.empty());
+    EXPECT_EQ(ladder.back().resume_call, 4u);
 }
 
 TEST_F(PruneTest, ManualOracleRejectsPrunedEvaluation) {
@@ -243,9 +259,8 @@ TEST_F(PruneTest, ManualOracleRejectsPrunedEvaluation) {
     const CoveredRun covered =
         run_with_coverage(registry_, driver::RunnerOptions{}, suite_);
     const auto golden = oracle::GoldenRecord::from(covered.result);
-    const PrunePlan plan = build_prune_plan(runner, binding(), suite_,
-                                            covered.index, nullptr, nullptr,
-                                            {});
+    const PrunePlan plan =
+        build_prune_plan(binding(), suite_, covered.index, nullptr, {});
     EngineOptions options;
     options.manual_oracle = [](const std::string&, const std::string&) {
         return true;
@@ -439,10 +454,10 @@ TEST_F(PruneTest, PrunedStoreIsNotResumedUnpruned) {
     EXPECT_EQ(third.stats.executed, mutants_.size());
 }
 
-// ------------------------------------------------------ prefix signatures
+// ------------------------------------------------------ per-case ladders
 //
-// Cases whose birth prefixes have equal signatures share one checkpoint,
-// so the signature must tell every two argument values apart.
+// Every case captures its own checkpoints, so two cases that differ in
+// one argument value never resume from each other's prefix.
 
 /// Keeps a real and a key/value pair.  Only Touch() consults a site, so
 /// a case's first hit is its first Touch().
@@ -492,6 +507,9 @@ TEST(PruneSignature, DistinctArgumentsGetDistinctCheckpoints) {
     registry.add(b.take());
     const reflect::ClassBinding& binding = registry.at("Register");
     const driver::TestRunner runner(registry, {});
+    const std::vector<Mutant> mutants =
+        enumerate_mutants(Register::touch_descriptor());
+    ASSERT_FALSE(mutants.empty());
 
     using domain::Value;
     const auto call = [](const char* name, std::vector<Value> arguments) {
@@ -527,16 +545,24 @@ TEST(PruneSignature, DistinctArgumentsGetDistinctCheckpoints) {
         suite.cases = {first, second};
         const CoveredRun covered =
             run_with_coverage(registry, driver::RunnerOptions{}, suite);
-        const PrunePlan plan = build_prune_plan(runner, binding, suite,
-                                                covered.index, nullptr,
-                                                nullptr, {});
+        const auto golden = oracle::GoldenRecord::from(covered.result);
+        const PrunePlan plan =
+            build_prune_plan(binding, suite, covered.index, nullptr, {});
+        // First use: the mutant runs both cases (it kills by output, not
+        // by a crash that would end the leg).
+        (void)evaluate_mutant_pruned(mutants.front(), runner, binding, suite,
+                                     golden, nullptr, nullptr, {}, plan,
+                                     EngineOptions{});
         ASSERT_EQ(plan.case_plans.size(), 2u);
-        ASSERT_EQ(plan.case_plans[0].checkpoints.size(), 1u);
-        ASSERT_EQ(plan.case_plans[1].checkpoints.size(), 1u);
-        const driver::CaseCheckpoint& own = plan.case_plans[1].checkpoints[0];
+        const std::vector<driver::CaseCheckpoint>& first_ladder =
+            plan.case_plans[0].ladder(runner, binding, first);
+        const std::vector<driver::CaseCheckpoint>& second_ladder =
+            plan.case_plans[1].ladder(runner, binding, second);
+        ASSERT_EQ(first_ladder.size(), 1u);
+        ASSERT_EQ(second_ladder.size(), 1u);
+        const driver::CaseCheckpoint& own = second_ladder[0];
         EXPECT_EQ(own.resume_call, 2u);
-        EXPECT_NE(own.prototype.get(),
-                  plan.case_plans[0].checkpoints[0].prototype.get());
+        EXPECT_NE(own.prototype.get(), first_ladder[0].prototype.get());
 
         const driver::TestResult full = runner.run_case(binding, second);
         const driver::TestResult resumed =
@@ -613,6 +639,9 @@ TEST(PruneCObList, PrunedCampaignMatchesUnprunedOnTheRealComponent) {
         EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs, total);
         EXPECT_LT(pruned.stats.executed_pairs, total);
         EXPECT_GT(pruned.stats.pruned_pairs, 0u);
+        // Memoization runs with or without a lockstep model: checkpoints
+        // carry the model's state.
+        EXPECT_GT(pruned.stats.memoized_pairs, 0u);
     }
 }
 
@@ -652,11 +681,8 @@ TEST_F(PruneRealComponent, PostingsInvertTheCoverageIndex) {
     const CoveredRun covered = run_with_coverage(registry(), {}, suite_);
     const CoveredRun probe_covered =
         run_with_coverage(registry(), probe_options, probe_);
-    const driver::TestRunner runner(registry(), {});
-    const driver::TestRunner probe_runner(registry(), probe_options);
-    const PrunePlan plan =
-        build_prune_plan(runner, binding(), suite_, covered.index, &probe_runner,
-                         &probe_, probe_covered.index);
+    const PrunePlan plan = build_prune_plan(binding(), suite_, covered.index,
+                                            &probe_, probe_covered.index);
 
     // Every mutant's postings list exactly the cases first_hit knows,
     // in suite order, with first_hit's call index.
@@ -699,8 +725,8 @@ TEST_F(PruneRealComponent, FirstCrashKillEndsTheSuiteLeg) {
     const driver::TestRunner runner(registry(), {});
     const CoveredRun covered = run_with_coverage(registry(), {}, suite_);
     const auto golden = oracle::GoldenRecord::from(covered.result);
-    const PrunePlan plan = build_prune_plan(runner, binding(), suite_,
-                                            covered.index, nullptr, nullptr, {});
+    const PrunePlan plan =
+        build_prune_plan(binding(), suite_, covered.index, nullptr, {});
     const EngineOptions options;
 
     std::size_t checked = 0;
@@ -735,6 +761,202 @@ TEST_F(PruneRealComponent, FirstCrashKillEndsTheSuiteLeg) {
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
     }
     EXPECT_GT(checked, 0u);
+}
+
+// ------------------------------------------------------ lazy capture
+//
+// A case's ladder is captured the first time a mutant runs it, with no
+// mutant active, and never before: building the plan executes nothing.
+
+/// Counts, per case id, the runs that begin with no mutant active.
+/// Under the pruned evaluator those are exactly the ladder captures.
+class CaptureCounter final : public driver::CaseObserver {
+public:
+    void on_case_begin(const driver::TestCase& test_case) override {
+        if (MutationController::instance().any_active()) return;
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++captures_[test_case.id];
+    }
+    void on_call(std::size_t) override {}
+
+    [[nodiscard]] std::map<std::string, int> captures() const {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return captures_;
+    }
+
+private:
+    mutable std::mutex mutex_;
+    std::map<std::string, int> captures_;
+};
+
+/// Holds a count of 7 and crashes (a StructuralFault) whenever Touch()'s
+/// one site reads anything else — which every mutant of that site does,
+/// since no operator reproduces 7.
+class Fragile : public bit::BuiltInTest {
+public:
+    static const MethodDescriptor& touch_descriptor() {
+        static const MethodDescriptor d =
+            MethodDescriptor::Builder("Fragile", "Touch")
+                .attr("count_", int_type(), true)
+                .site("count_", "count")  // s0
+                .build();
+        return d;
+    }
+
+    void Nop() {}
+    void Touch() {
+        MutFrame frame(touch_descriptor());
+        frame.bind("count_", &count_);
+        if (frame.use(0, count_) != count_) {
+            throw StructuralFault("Fragile: count corrupted");
+        }
+    }
+
+    void InvariantTest() const override {}
+    void Reporter(std::ostream& os) const override {
+        os << "Fragile{" << count_ << "}";
+    }
+
+private:
+    int count_ = 7;
+};
+
+class PruneLazyLadder : public PruneRealComponent {};
+
+TEST_F(PruneLazyLadder, CaseNoMutantRunsIsNeverCaptured) {
+    reflect::Binder<Fragile> b("Fragile");
+    b.ctor<>();
+    b.method("Nop", &Fragile::Nop);
+    b.method("Touch", &Fragile::Touch);
+    b.cloner([](const Fragile& source) { return new Fragile(source); });
+    reflect::Registry registry;
+    registry.add(b.take());
+    const reflect::ClassBinding& binding = registry.at("Fragile");
+
+    const auto call = [](const char* name) {
+        driver::MethodCall c;
+        c.method_name = name;
+        return c;
+    };
+    const auto make_case = [&](const char* id, std::size_t nops) {
+        driver::MethodCall ctor = call("Fragile");
+        ctor.is_constructor = true;
+        driver::TestCase tc;
+        tc.id = id;
+        tc.transaction_text = "hand-built";
+        tc.calls = {ctor};
+        for (std::size_t i = 0; i < nops; ++i) tc.calls.push_back(call("Nop"));
+        tc.calls.push_back(call("Touch"));
+        return tc;
+    };
+    // Both cases reach the site (first hits at calls 2 and 3), but every
+    // mutant crashes in the first, which ends the leg.
+    driver::TestSuite suite;
+    suite.class_name = "Fragile";
+    suite.cases = {make_case("TCcrash", 1), make_case("TCnever", 2)};
+
+    const CoveredRun covered =
+        run_with_coverage(registry, driver::RunnerOptions{}, suite);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    CaptureCounter counter;
+    driver::RunnerOptions options;
+    options.observer = &counter;
+    const driver::TestRunner runner(registry, options);
+    const PrunePlan plan =
+        build_prune_plan(binding, suite, covered.index, nullptr, {});
+    ASSERT_EQ(plan.case_plans.size(), 2u);
+    EXPECT_EQ(plan.case_plans[0].boundaries, std::vector<std::size_t>{2});
+    EXPECT_EQ(plan.case_plans[1].boundaries, std::vector<std::size_t>{3});
+    EXPECT_TRUE(counter.captures().empty()) << "planning captured";
+
+    const std::vector<Mutant> mutants =
+        enumerate_mutants(Fragile::touch_descriptor());
+    ASSERT_FALSE(mutants.empty());
+    for (const Mutant& mutant : mutants) {
+        PruneStats stats;
+        const MutantOutcome outcome =
+            evaluate_mutant_pruned(mutant, runner, binding, suite, golden,
+                                   nullptr, nullptr, {}, plan, EngineOptions{},
+                                   &stats);
+        EXPECT_EQ(outcome.fate, MutantFate::Killed) << mutant.id();
+        EXPECT_EQ(outcome.reason, oracle::KillReason::Crash) << mutant.id();
+        EXPECT_EQ(stats.executed_pairs, 1u) << mutant.id();
+        EXPECT_EQ(stats.pruned_pairs, 1u) << mutant.id();
+        EXPECT_EQ(stats.memoized_pairs, 1u) << mutant.id();
+    }
+    EXPECT_EQ(counter.captures(), (std::map<std::string, int>{{"TCcrash", 1}}));
+}
+
+TEST_F(PruneLazyLadder, ConcurrentFirstUseCapturesOnce) {
+    driver::RunnerOptions probe_options;
+    probe_options.observe_each_call = true;
+    const CoveredRun covered = run_with_coverage(registry(), {}, suite_);
+    const CoveredRun probe_covered =
+        run_with_coverage(registry(), probe_options, probe_);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    const auto probe_golden = oracle::GoldenRecord::from(probe_covered.result);
+    const EngineOptions engine;
+
+    struct Run {
+        std::vector<std::tuple<MutantFate, oracle::KillReason, bool, bool>> fates;
+        PruneStats stats;
+        std::map<std::string, int> captures;
+        std::map<std::string, int> probe_captures;
+    };
+    // One fresh plan per run, its mutants spread over `threads` threads.
+    const auto run = [&](std::size_t threads) {
+        CaptureCounter counter;
+        CaptureCounter probe_counter;
+        driver::RunnerOptions options;
+        options.observer = &counter;
+        driver::RunnerOptions probe_runner_options = probe_options;
+        probe_runner_options.observer = &probe_counter;
+        const driver::TestRunner runner(registry(), options);
+        const driver::TestRunner probe_runner(registry(), probe_runner_options);
+        const PrunePlan plan = build_prune_plan(binding(), suite_, covered.index,
+                                                &probe_, probe_covered.index);
+        Run out;
+        out.fates.resize(mutants_.size());
+        std::vector<PruneStats> stats(threads);
+        std::atomic<std::size_t> next{0};
+        std::vector<std::thread> pool;
+        for (std::size_t t = 0; t < threads; ++t) {
+            pool.emplace_back([&, t] {
+                for (std::size_t i = next++; i < mutants_.size(); i = next++) {
+                    const MutantOutcome o = evaluate_mutant_pruned(
+                        mutants_[i], runner, binding(), suite_, golden,
+                        &probe_runner, &probe_, probe_golden, plan, engine,
+                        &stats[t]);
+                    out.fates[i] = {o.fate, o.reason, o.hit_by_suite,
+                                    o.killed_by_probe};
+                }
+            });
+        }
+        for (std::thread& thread : pool) thread.join();
+        for (const PruneStats& s : stats) out.stats += s;
+        out.captures = counter.captures();
+        out.probe_captures = probe_counter.captures();
+        return out;
+    };
+
+    const Run serial = run(1);
+    const Run parallel = run(4);
+    EXPECT_EQ(parallel.fates, serial.fates);
+    EXPECT_EQ(parallel.stats.executed_pairs, serial.stats.executed_pairs);
+    EXPECT_EQ(parallel.stats.pruned_pairs, serial.stats.pruned_pairs);
+    EXPECT_EQ(parallel.stats.memoized_pairs, serial.stats.memoized_pairs);
+    EXPECT_EQ(parallel.stats.memoized_calls, serial.stats.memoized_calls);
+    EXPECT_GT(serial.stats.memoized_pairs, 0u);
+    // The same cases are captured, each once, however the threads race.
+    EXPECT_EQ(parallel.captures, serial.captures);
+    EXPECT_EQ(parallel.probe_captures, serial.probe_captures);
+    EXPECT_FALSE(serial.captures.empty());
+    EXPECT_FALSE(serial.probe_captures.empty());
+    for (const Run* r : {&serial, &parallel}) {
+        for (const auto& captures : {r->captures, r->probe_captures}) {
+            for (const auto& [id, n] : captures) EXPECT_EQ(n, 1) << id;
+        }
+    }
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ int usage(std::ostream& os) {
           "  --prune / --no-prune  (campaign, dispatch) the fast execution\n"
           "                  tier: skip (mutant, case) pairs the coverage\n"
           "                  index proves unreachable and resume covered\n"
-          "                  cases from shared-prefix checkpoints; fates are\n"
+          "                  cases from un-mutated prefix checkpoints; fates are\n"
           "                  byte-identical either way (default on)\n"
           "  --alive         (kill) target the store's surviving mutants —\n"
           "                  required, so the subject of the pass is explicit\n"
