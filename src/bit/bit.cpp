@@ -1,4 +1,3 @@
-#include <atomic>
 #include <deque>
 #include <locale>
 #include <sstream>
@@ -78,31 +77,17 @@ QuiescenceViolation::QuiescenceViolation(std::string action, std::string detail)
       action_(std::move(action)),
       detail_(std::move(detail)) {}
 
-namespace {
-// Process-wide totals across all threads; relaxed ordering is enough
-// because these are statistics, not synchronization.
-std::atomic<std::uint64_t> g_total_checked{0};
-std::atomic<std::uint64_t> g_total_violated{0};
-}  // namespace
-
 AssertionStats& AssertionStats::instance() noexcept {
     static thread_local AssertionStats stats;
     return stats;
 }
 
-AssertionStats::Counters AssertionStats::process_totals() noexcept {
-    return Counters{g_total_checked.load(std::memory_order_relaxed),
-                    g_total_violated.load(std::memory_order_relaxed)};
-}
-
 void AssertionStats::record_check(AssertionKind kind) noexcept {
     ++by_kind_[static_cast<std::size_t>(kind)].checked;
-    g_total_checked.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AssertionStats::record_violation(AssertionKind kind) noexcept {
     ++by_kind_[static_cast<std::size_t>(kind)].violated;
-    g_total_violated.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AssertionStats::reset() noexcept {

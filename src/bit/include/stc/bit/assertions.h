@@ -6,10 +6,10 @@
 // version adds:
 //   - a typed exception (AssertionViolation) carrying the kind, the
 //     violated expression and the source location;
-//   - global assertion statistics (checked / violated counts) consumed
-//     by the mutation benches to attribute kills to the assertion
-//     oracle, reproducing the paper's "59 of 652 kills were due to
-//     assertion violation" accounting;
+//   - per-thread assertion statistics (checked / violated counts)
+//     consumed by the runner's metrics and the mutation benches to
+//     attribute kills to the assertion oracle, reproducing the paper's
+//     "59 of 652 kills were due to assertion violation" accounting;
 //   - gating on test mode and on the STC_BIT_DISABLED compile directive
 //     (the paper's BIT access control).
 #pragma once
@@ -76,11 +76,9 @@ private:
 /// concurrent driver thread counts, suppresses, and resets its own
 /// assertions with no synchronization and no cross-talk — a mutation
 /// campaign worker's assertion violations never leak into another
-/// worker's accounting.  For whole-process accounting across concurrent
-/// drivers (the "59 of 652 kills were due to assertion violation"
-/// number of a parallel campaign), `process_totals()` exposes monotonic
-/// process-wide totals maintained with relaxed atomics; it is never
-/// reset by per-thread `reset()`.
+/// worker's accounting.  There are no process-wide totals: a thread
+/// that needs an interval's count subtracts two of its own readings
+/// (the runner does so per suite and adds the delta to its metrics).
 class AssertionStats {
 public:
     struct Counters {
@@ -89,11 +87,6 @@ public:
     };
 
     static AssertionStats& instance() noexcept;
-
-    /// Snapshot of the process-wide totals, aggregated over every
-    /// thread that ever checked an assertion.  Monotonic: unaffected by
-    /// reset() (subtract two snapshots to meter an interval).
-    [[nodiscard]] static Counters process_totals() noexcept;
 
     void record_check(AssertionKind kind) noexcept;
     void record_violation(AssertionKind kind) noexcept;

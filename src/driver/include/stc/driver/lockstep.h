@@ -12,6 +12,10 @@
 //   - an abstracted projection of the observable state, produced on the
 //     model side by abstract_state() and on the live side by a
 //     read-only ModelBinding::project of the object under test.
+// A model may first answer the state compare by identity
+// (LockstepModel::conforms): a "yes" skips both renderings, anything
+// else falls through to the rendered compare, which alone decides and
+// words a divergence.
 // The first mismatch is a *model divergence*: recorded verbatim on the
 // TestResult (side channel, never in the report/log, so runs with and
 // without a model stay byte-identical) and optionally promoted to
@@ -68,6 +72,19 @@ public:
     /// the same format the paired ModelBinding::project produces for
     /// the live object (e.g. "count=2 [CInt(3), CInt(7)]").
     [[nodiscard]] virtual std::string abstract_state() const = 0;
+
+    /// Optional identity fast path for the state compare, one-way: true
+    /// promises that the paired ModelBinding::project(object) equals
+    /// abstract_state() (say, every live element is the very object the
+    /// model holds), so the runner renders neither.  False promises
+    /// nothing — the runner then renders both and compares the strings,
+    /// and only that compare decides a divergence and writes its text.
+    /// Read-only on the object, like project, and never throws.  The
+    /// default answers false, which is always correct.
+    [[nodiscard]] virtual bool conforms(const void* object) const noexcept {
+        (void)object;
+        return false;
+    }
 
     /// Snapshot of this instance: a deep, independent copy that predicts
     /// exactly what this one would from here on.  Applying calls to

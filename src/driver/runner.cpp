@@ -279,7 +279,7 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
         model_engaged = false;  // first divergence is the finding; stop there
     };
     auto model_compare_state = [&](std::size_t call_index) {
-        if (!model_engaged) return;
+        if (!model_engaged || model->conforms(cut.get())) return;
         const std::string live = options_.model->project(cut.get());
         const std::string predicted = model->abstract_state();
         if (live != predicted) {

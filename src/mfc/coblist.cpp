@@ -1,6 +1,7 @@
 #include "stc/mfc/coblist.h"
 
-#include <map>
+#include <algorithm>
+#include <functional>
 
 #include "stc/mutation/descriptor.h"
 
@@ -13,6 +14,9 @@ using mutation::pointer_type;
 using mutation::StructuralFault;
 
 namespace {
+
+/// The registry's order: std::less is a total order on pointers.
+constexpr std::less<const CNode*> kAddressOrder{};
 
 // ---- Interface-mutation descriptors for the Table 3 methods -----------
 // Site ordinals follow the use() calls in the method bodies below, in
@@ -108,19 +112,25 @@ CObList::~CObList() {
 void CObList::CopyStateFrom(const CObList& source) {
     m_nBlockSize = source.m_nBlockSize;
     m_nCount = source.m_nCount;
-    std::map<const CNode*, CNode*> twins;
-    for (const CNode* node : source.owned_) {
-        CNode* twin = new CNode{};
-        owned_.insert(twin);
-        twins.emplace(node, twin);
+    // The twin of source.owned_[i] is owned_[base + i] until the sort
+    // below; a source node's index is a binary search of its registry.
+    const std::size_t base = owned_.size();
+    owned_.reserve(base + source.owned_.size());
+    for (std::size_t i = 0; i < source.owned_.size(); ++i) {
+        owned_.push_back(new CNode{});
     }
     // Foreign pointers map to themselves: still outside the pool, so
     // checked() faults on the copy exactly where it would on the source.
-    const auto twin_of = [&twins](CNode* node) -> CNode* {
-        const auto it = twins.find(node);
-        return it != twins.end() ? it->second : node;
+    const auto twin_of = [&](CNode* node) -> CNode* {
+        const auto& nodes = source.owned_;
+        const auto it =
+            std::lower_bound(nodes.begin(), nodes.end(), node, kAddressOrder);
+        if (it == nodes.end() || *it != node) return node;
+        return owned_[base + static_cast<std::size_t>(it - nodes.begin())];
     };
-    for (const auto& [node, twin] : twins) {
+    for (std::size_t i = 0; i < source.owned_.size(); ++i) {
+        const CNode* node = source.owned_[i];
+        CNode* twin = owned_[base + i];
         twin->data = node->data;
         twin->pNext = twin_of(node->pNext);
         twin->pPrev = twin_of(node->pPrev);
@@ -128,6 +138,7 @@ void CObList::CopyStateFrom(const CObList& source) {
     m_pNodeHead = twin_of(source.m_pNodeHead);
     m_pNodeTail = twin_of(source.m_pNodeTail);
     m_pNodeFree = twin_of(source.m_pNodeFree);
+    std::sort(owned_.begin(), owned_.end(), kAddressOrder);
 }
 
 // ---- Node pool ---------------------------------------------------------------
@@ -139,7 +150,9 @@ CNode* CObList::NewNode() {
         m_pNodeFree = m_pNodeFree->pNext;
     } else {
         node = new CNode{};
-        owned_.insert(node);
+        owned_.insert(std::upper_bound(owned_.begin(), owned_.end(), node,
+                                       kAddressOrder),
+                      node);
     }
     node->data = nullptr;
     node->pNext = nullptr;
@@ -166,7 +179,8 @@ CNode* CObList::checked(CNode* node) const {
 }
 
 bool CObList::is_owned(const CNode* node) const noexcept {
-    return node != nullptr && owned_.count(node) != 0;
+    return node != nullptr &&
+           std::binary_search(owned_.begin(), owned_.end(), node, kAddressOrder);
 }
 
 void CObList::bump_guard(int& guard) const {

@@ -5,17 +5,17 @@
 // paper's Table 3 experiment (AddHead, RemoveAt, RemoveHead) are
 // instrumented with interface-mutation use sites.
 //
-// Crash realism: nodes live in a per-list pool (owned set + free list,
-// mirroring MFC's block allocator).  Every pointer dereference in the
-// instrumented paths goes through checked(), which throws
-// StructuralFault for null/foreign pointers — the in-process stand-in
-// for the memory corruption that crashed the paper's per-mutant
-// processes.
+// Crash realism: nodes live in a per-list pool (an address-sorted
+// registry of owned nodes + a free list, mirroring MFC's block
+// allocator).  Every pointer dereference in the instrumented paths goes
+// through checked(), which throws StructuralFault for null/foreign
+// pointers — the in-process stand-in for the memory corruption that
+// crashed the paper's per-mutant processes.
 #pragma once
 
 #include <ostream>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "stc/bit/assertions.h"
 #include "stc/bit/built_in_test.h"
@@ -115,12 +115,13 @@ public:
     /// while a mutant is active cannot perturb its hit flag.  Elements
     /// (CObject*) are shared; foreign node pointers (possible only in
     /// corrupted state, which checkpoints never capture) stay foreign.
+    /// Costs one node allocation per owned node and one registry vector.
     void CopyStateFrom(const CObList& source);
 
 protected:
     // Node pool (MFC block allocator surface: a free list of recycled
     // nodes).  Nodes are only ever deleted in the destructor, from the
-    // owned set, so corrupted links can never double-free.
+    // owned registry, so corrupted links can never double-free.
     [[nodiscard]] CNode* NewNode();
     /// Links the node into the free list through a checked dereference
     /// (MFC's FreeNode dereferenced unconditionally — null crashed it).
@@ -129,6 +130,7 @@ protected:
     /// Pool-validated dereference; throws mutation::StructuralFault for
     /// null or foreign pointers (simulated crash; see file comment).
     CNode* checked(CNode* node) const;
+    /// Pool membership: a binary search of owned_.
     [[nodiscard]] bool is_owned(const CNode* node) const noexcept;
 
     /// Throws StructuralFault when a traversal exceeds the pool size —
@@ -151,7 +153,9 @@ protected:
     int m_nCount = 0;
     int m_nBlockSize;
 
-    std::set<const CNode*> owned_;
+    /// Every node this list ever allocated, sorted by address
+    /// (std::less order) and never shrunk: the pool the destructor frees.
+    std::vector<CNode*> owned_;
 };
 
 /// Register CObList's mutation descriptors (AddHead, RemoveHead,

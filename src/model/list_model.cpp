@@ -88,6 +88,14 @@ std::string project_live(const mfc::CObList& list) noexcept {
     }
 }
 
+/// The bound class's object viewed as the list both classes are.
+using LiveList = const mfc::CObList* (*)(const void* object);
+
+template <typename T>
+const mfc::CObList* live_list(const void* object) noexcept {
+    return static_cast<const T*>(object);
+}
+
 /// Reference model of CObList (and, with sortable=true, of
 /// CSortableObList): element pointers in list order.  Elements are
 /// owned by the generator's ElementPool and outlive every test case,
@@ -95,7 +103,8 @@ std::string project_live(const mfc::CObList& list) noexcept {
 /// same ToText the binding wrappers use.
 class ListModel final : public driver::LockstepModel {
 public:
-    explicit ListModel(bool sortable) noexcept : sortable_(sortable) {}
+    ListModel(bool sortable, LiveList live) noexcept
+        : live_(live), sortable_(sortable) {}
 
     bool construct(const std::vector<domain::Value>& args) override {
         // Both classes bind a zero-argument constructor.
@@ -190,6 +199,34 @@ public:
         return std::move(out).finish();
     }
 
+    /// Walks the live chain against the model's element pointers.  True
+    /// only where project_live renders exactly abstract_state(): equal
+    /// counts of at most kMaxProjected, exactly that many pool nodes in
+    /// the chain, and each element the model's very object or one that
+    /// renders like it (equal values a sort ordered differently).  A
+    /// short or long chain, a fault or a truncated abstraction answers
+    /// false, and the rendered compare decides.
+    [[nodiscard]] bool conforms(const void* object) const noexcept override {
+        if (elements_.size() > kMaxProjected) return false;
+        try {
+            const mfc::CObList& list = *live_(object);
+            if (list.GetCount() != static_cast<int>(elements_.size())) {
+                return false;
+            }
+            mfc::POSITION pos = list.GetHeadPosition();
+            for (const CObject* expected : elements_) {
+                if (pos == nullptr) return false;
+                const CObject* actual = list.GetNext(pos);
+                if (actual != expected && text_of(actual) != text_of(expected)) {
+                    return false;
+                }
+            }
+            return pos == nullptr;
+        } catch (...) {
+            return false;
+        }
+    }
+
     [[nodiscard]] std::unique_ptr<driver::LockstepModel> clone() const override {
         // Element pointers are shared on purpose: the pool owns them.
         return std::make_unique<ListModel>(*this);
@@ -220,6 +257,7 @@ private:
     }
 
     std::vector<const CObject*> elements_;
+    LiveList live_;
     bool sortable_;
 };
 
@@ -227,10 +265,11 @@ template <typename T>
 driver::ModelBinding make_list_binding(bool sortable) {
     driver::ModelBinding binding;
     binding.factory = [sortable] {
-        return std::unique_ptr<driver::LockstepModel>(new ListModel(sortable));
+        return std::unique_ptr<driver::LockstepModel>(
+            new ListModel(sortable, &live_list<T>));
     };
     binding.project = [](const void* object) {
-        return project_live(*static_cast<const T*>(object));
+        return project_live(*live_list<T>(object));
     };
     return binding;
 }

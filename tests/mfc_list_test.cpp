@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "stc/bit/assertions.h"
@@ -317,6 +319,151 @@ TEST_F(ListTest, RunawayTraversalGuardFires) {
     EXPECT_THROW((void)list.Find(&needle), mutation::StructuralFault);
 }
 
+// ------------------------------------------- checkpoint clone (CopyStateFrom)
+
+/// Test access to a list's representation: its links, to corrupt them
+/// the way a mutant does, and its node pool.
+class OpenList : public CObList {
+public:
+    using CObList::is_owned;
+    using CObList::m_pNodeFree;
+    using CObList::m_pNodeHead;
+
+    /// Elements the free nodes still hold, front of the free list first
+    /// (FreeNode keeps a node's data; NewNode clears it on reuse).
+    [[nodiscard]] std::vector<const CObject*> free_data() const {
+        std::vector<const CObject*> out;
+        for (const CNode* node = m_pNodeFree;
+             node != nullptr && out.size() <= owned_.size(); node = node->pNext) {
+            out.push_back(node->data);
+        }
+        return out;
+    }
+    [[nodiscard]] std::size_t pool_size() const { return owned_.size(); }
+};
+
+/// The same calls on a list, recorded until the first fault ends them.
+std::vector<std::string> walk_until_fault(CObList& list) {
+    std::vector<std::string> trace{std::to_string(list.GetCount())};
+    try {
+        POSITION p = list.GetHeadPosition();
+        // One GetNext past the count: a foreign link faults before it.
+        for (int i = 0; i <= list.GetCount(); ++i) {
+            trace.push_back(list.GetNext(p)->ToText());
+        }
+    } catch (const mutation::StructuralFault& fault) {
+        trace.push_back(fault.what());
+    }
+    return trace;
+}
+
+TEST_F(ListTest, CloneReportsTheSameState) {
+    OpenList source;
+    for (int i = 1; i <= 6; ++i) source.AddTail(element(i));
+    (void)source.RemoveHead();
+    source.RemoveAt(source.FindIndex(2));
+    source.AddHead(element(9));  // reuses a freed node
+
+    OpenList copy;
+    copy.CopyStateFrom(source);
+    EXPECT_EQ(copy.report(), source.report());
+    EXPECT_EQ(copy.report(), "CObList count=5 [CInt(9), CInt(2), CInt(3), "
+                             "CInt(5), CInt(6)]");
+    EXPECT_TRUE(copy.DeepValidState());
+    EXPECT_EQ(copy.pool_size(), source.pool_size());
+    EXPECT_EQ(copy.free_data(), source.free_data());
+    for (POSITION p = copy.GetHeadPosition(); p != nullptr; p = p->pNext) {
+        EXPECT_TRUE(copy.is_owned(p));
+        EXPECT_FALSE(source.is_owned(p));  // no node is shared
+    }
+}
+
+TEST_F(ListTest, CloneReusesFreeNodesInTheSameOrder) {
+    OpenList source;
+    for (int i = 1; i <= 5; ++i) source.AddTail(element(i));
+    for (int i = 0; i < 3; ++i) (void)source.RemoveHead();
+
+    OpenList copy;
+    copy.CopyStateFrom(source);
+    ASSERT_EQ(copy.free_data().size(), 3u);
+    EXPECT_EQ(copy.free_data(), source.free_data());
+    // RemoveHead frees onto the front, AddHead takes from the front: each
+    // list must hand out the node at the front of its own free list, and
+    // the two free lists must stay alike, past the point where both
+    // allocate fresh nodes.
+    for (int step = 0; step < 5; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        if (step % 2 == 1) {
+            (void)source.RemoveHead();
+            (void)copy.RemoveHead();
+        }
+        CInt* next = element(10 + step);
+        const POSITION source_front = source.m_pNodeFree;
+        const POSITION copy_front = copy.m_pNodeFree;
+        const POSITION source_added = source.AddHead(next);
+        const POSITION copy_added = copy.AddHead(next);
+        if (source_front != nullptr) {
+            EXPECT_EQ(source_added, source_front);
+            EXPECT_EQ(copy_added, copy_front);
+        } else {
+            EXPECT_EQ(copy_front, nullptr);
+        }
+        EXPECT_EQ(copy.free_data(), source.free_data());
+        EXPECT_EQ(copy.report(), source.report());
+        EXPECT_EQ(copy.pool_size(), source.pool_size());
+    }
+}
+
+TEST_F(ListTest, CloneKeepsForeignPointersForeign) {
+    CInt stray(42);
+    CNode foreign{&stray, nullptr, nullptr};
+    OpenList source;
+    for (int i = 1; i <= 3; ++i) source.AddTail(element(i));
+    source.m_pNodeHead->pNext->pNext = &foreign;  // a mutant's stray link
+
+    OpenList copy;
+    copy.CopyStateFrom(source);
+    EXPECT_EQ(copy.m_pNodeHead->pNext->pNext, &foreign);
+    EXPECT_FALSE(copy.is_owned(&foreign));
+    const std::vector<std::string> trace = walk_until_fault(source);
+    EXPECT_EQ(walk_until_fault(copy), trace);
+    EXPECT_EQ(trace.back(),
+              "crash: CObList: dereference of a node outside the pool");
+
+    // A foreign free list: the AddHead that takes from it faults on both.
+    CNode foreign_free{};
+    source.m_pNodeFree = &foreign_free;
+    OpenList free_copy;
+    free_copy.CopyStateFrom(source);
+    EXPECT_EQ(free_copy.m_pNodeFree, &foreign_free);
+    EXPECT_THROW(source.AddHead(element(7)), mutation::StructuralFault);
+    EXPECT_THROW(free_copy.AddHead(element(7)), mutation::StructuralFault);
+}
+
+TEST_F(ListTest, CloneTeardownFreesExactlyItsOwnNodes) {
+    // Under ASan/LSan this fails on a leaked, double-freed or foreign
+    // delete; elsewhere it checks that the source survives its clone.
+    CInt stray(42);
+    CNode foreign{&stray, nullptr, nullptr};
+    OpenList source;
+    for (int i = 1; i <= 8; ++i) source.AddTail(element(i));
+    for (int i = 0; i < 3; ++i) (void)source.RemoveHead();
+    const std::string before = source.report();
+    {
+        OpenList copy;
+        copy.CopyStateFrom(source);
+        EXPECT_EQ(copy.pool_size(), 8u);
+        OpenList corrupted;
+        corrupted.CopyStateFrom(copy);
+        corrupted.m_pNodeHead->pNext = &foreign;
+        OpenList corrupted_copy;
+        corrupted_copy.CopyStateFrom(corrupted);
+        EXPECT_EQ(corrupted_copy.pool_size(), 8u);
+    }
+    EXPECT_EQ(source.report(), before);
+    EXPECT_TRUE(source.DeepValidState());
+}
+
 // ------------------------------------------------------------ sortable list
 
 class SortableTest : public ListTest {
@@ -433,10 +580,14 @@ TEST_F(SortableTest, MixedOperationsKeepSortInvariantsAvailable) {
 
 // ------------------------------------------------- property sweep (TEST_P)
 
+// gtest names each instance by a byte dump of its SortCase, so the
+// struct must have no padding: uninitialized padding bytes made the
+// test names differ from one build to the next.
 struct SortCase {
     std::uint64_t seed;
-    int size;
+    std::int64_t size;
 };
+static_assert(std::has_unique_object_representations_v<SortCase>);
 
 class SortProperty : public ::testing::TestWithParam<SortCase> {};
 

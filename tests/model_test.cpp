@@ -2,8 +2,9 @@
 // binding registry, the ListModel's prediction semantics (which must
 // mirror the mfc binding wrappers exactly), live-state projection,
 // lockstep conformance of the unmutated components, divergence on a
-// seeded mutant, and the end-to-end differential classification that
-// feeds the oracle-strength report.
+// seeded mutant, the end-to-end differential classification that
+// feeds the oracle-strength report, and the identity fast path of the
+// state compare.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +18,14 @@
 #include "stc/driver/runner.h"
 #include "stc/mfc/coblist.h"
 #include "stc/mfc/component.h"
+#include "stc/mfc/sortable.h"
 #include "stc/model/model.h"
 #include "stc/mutation/controller.h"
 #include "stc/mutation/coverage.h"
 #include "stc/mutation/descriptor.h"
 #include "stc/mutation/mutant.h"
 #include "stc/oracle/oracle.h"
+#include "stc/support/rng.h"
 
 namespace stc {
 namespace {
@@ -353,17 +356,22 @@ TEST_F(LockstepFixture, DivergenceTextIsPinnedByteForByte) {
 // the full run's result field for field (model lockstep included), and an
 // observer sees exactly the calls from k on.
 
-void expect_same_result(const driver::TestResult& resumed,
-                        const driver::TestResult& full, std::size_t k) {
-    SCOPED_TRACE("resumed at call " + std::to_string(k));
-    EXPECT_EQ(resumed.case_id, full.case_id);
-    EXPECT_EQ(resumed.verdict, full.verdict);
-    EXPECT_EQ(resumed.message, full.message);
-    EXPECT_EQ(resumed.failed_method, full.failed_method);
-    EXPECT_EQ(resumed.assertion_kind, full.assertion_kind);
-    EXPECT_EQ(resumed.report, full.report);
-    EXPECT_EQ(resumed.log, full.log);
-    EXPECT_EQ(resumed.model_divergence, full.model_divergence);
+void expect_same_result(const driver::TestResult& actual,
+                        const driver::TestResult& expected,
+                        const std::string& context) {
+    SCOPED_TRACE(context);
+    EXPECT_EQ(actual.case_id, expected.case_id);
+    EXPECT_EQ(actual.verdict, expected.verdict);
+    EXPECT_EQ(actual.message, expected.message);
+    EXPECT_EQ(actual.failed_method, expected.failed_method);
+    EXPECT_EQ(actual.assertion_kind, expected.assertion_kind);
+    EXPECT_EQ(actual.report, expected.report);
+    EXPECT_EQ(actual.log, expected.log);
+    EXPECT_EQ(actual.model_divergence, expected.model_divergence);
+}
+
+std::string resumed_at(std::size_t k) {
+    return "resumed at call " + std::to_string(k);
 }
 
 /// Records the call indices a run announces.
@@ -415,7 +423,7 @@ void check_resume_contract(const tspec::ComponentSpec& spec,
             const std::size_t k = captured[j].resume_call;
             ASSERT_EQ(k, j + 1);
             expect_same_result(runner.run_case_from(binding, tc, captured[j]),
-                               full, k);
+                               full, resumed_at(k));
 
             const std::size_t begins = log.begins;
             (void)observed.run_case_from(binding, tc, captured[j]);
@@ -446,7 +454,7 @@ void check_resume_contract(const tspec::ComponentSpec& spec,
             for (const driver::CaseCheckpoint& checkpoint : checkpoints[c]) {
                 if (checkpoint.resume_call > *hit) break;
                 expect_same_result(runner.run_case_from(binding, tc, checkpoint),
-                                   full, checkpoint.resume_call);
+                                   full, resumed_at(checkpoint.resume_call));
                 ++resumed_under_mutants;
             }
         }
@@ -460,6 +468,311 @@ TEST(RunnerResumeContract, CObListSuiteWithModel) {
 
 TEST(RunnerResumeContract, SortableSuiteWithModel) {
     check_resume_contract(mfc::sortable_spec(), mfc::sortable_binding());
+}
+
+// ------------------------------------------------------ identity fast path
+//
+// LockstepModel::conforms lets a state compare that conforms skip both
+// renderings.  Its contract is one-way: true must imply
+// project(live) == abstract_state(); false promises nothing and leaves
+// the verdict to the rendered compare.  Pinned three ways: against the
+// rendered compare over random and corrupted lists, by whole suites run
+// with and without the hook under every mutant, and by counting the
+// renderings a run asks for.
+
+/// A live list whose links a test can corrupt the way a mutant does.
+class OpenList : public mfc::CSortableObList {
+public:
+    using mfc::CObList::m_nCount;
+    using mfc::CObList::m_pNodeHead;
+};
+
+/// The node at chain index `index` (the chain must reach it).
+mfc::CNode* node_at(OpenList& list, std::size_t index) {
+    mfc::CNode* node = list.m_pNodeHead;
+    for (std::size_t i = 0; i < index; ++i) node = node->pNext;
+    return node;
+}
+
+TEST(IdentityCheck, ConformsOnlyWhereTheRenderingsAreEqual) {
+    const driver::ModelBinding* binding = model::binding_for("CSortableObList");
+    ASSERT_NE(binding, nullptr);
+    enum Corruption {
+        kNone, kCountHigh, kCountLow, kShortChain, kExtraNode, kForeignNode,
+        kCorruptions
+    };
+    const char* const sorts[] = {"Sort1", "Sort2", "ShellSort"};
+
+    std::vector<std::unique_ptr<mfc::CInt>> pool;
+    mfc::CInt stray{9};
+    std::size_t corrupted_by[kCorruptions] = {};
+    std::size_t ties_reordered = 0;
+    std::size_t truncated = 0;
+    support::Pcg32 rng(20010701);
+    for (int round = 0; round < 600; ++round) {
+        OpenList live;
+        const std::unique_ptr<driver::LockstepModel> model = binding->factory();
+        ASSERT_TRUE(model->construct({}));
+        // The model's elements by pointer, as the test predicts them.
+        std::vector<const mfc::CObject*> expected;
+        const std::size_t n =
+            rng.index(6) == 0 ? 64 + rng.index(3) : rng.index(12);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Few distinct values, so sorts meet equal elements.
+            pool.push_back(std::make_unique<mfc::CInt>(
+                static_cast<int>(rng.uniform(0, 3))));
+            mfc::CInt& element = *pool.back();
+            const bool head = rng.index(2) == 0;
+            if (head) {
+                (void)live.AddHead(&element);
+                expected.insert(expected.begin(), &element);
+            } else {
+                (void)live.AddTail(&element);
+                expected.push_back(&element);
+            }
+            (void)model->apply(add(head ? "AddHead" : "AddTail", element));
+        }
+        if (rng.index(2) == 0) {
+            const std::string sort = sorts[rng.index(3)];
+            if (sort == "Sort1") live.Sort1();
+            if (sort == "Sort2") live.Sort2();
+            if (sort == "ShellSort") live.ShellSort();
+            (void)model->apply(call(sort));
+            std::stable_sort(expected.begin(), expected.end(),
+                             [](const mfc::CObject* a, const mfc::CObject* b) {
+                                 return a->Compare(*b) < 0;
+                             });
+        }
+
+        mfc::CNode foreign{&stray, nullptr, nullptr};
+        auto corruption = static_cast<Corruption>(rng.index(kCorruptions));
+        switch (corruption) {
+            case kCountHigh: ++live.m_nCount; break;
+            case kCountLow:
+                if (n == 0) corruption = kNone;
+                else --live.m_nCount;
+                break;
+            case kShortChain:
+                if (n < 2) corruption = kNone;
+                else node_at(live, rng.index(n - 1))->pNext = nullptr;
+                break;
+            case kExtraNode:
+                (void)live.AddTail(&stray);
+                --live.m_nCount;
+                break;
+            case kForeignNode:
+                if (n == 0) corruption = kNone;
+                else node_at(live, rng.index(n))->pNext = &foreign;
+                break;
+            default: break;
+        }
+
+        SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                     std::to_string(n) + " elements, corruption " +
+                     std::to_string(corruption));
+        const void* object = static_cast<const mfc::CSortableObList*>(&live);
+        const bool conforms = model->conforms(object);
+        const std::string projected = binding->project(object);
+        const std::string predicted = model->abstract_state();
+        if (conforms) {
+            EXPECT_EQ(projected, predicted);
+        }
+        if (corruption != kNone) {
+            ++corrupted_by[corruption];
+            EXPECT_FALSE(conforms);
+        } else if (n > 64) {
+            ++truncated;  // too long to check: the rendered compare decides
+            EXPECT_FALSE(conforms);
+            EXPECT_EQ(projected, predicted);
+        } else {
+            EXPECT_TRUE(conforms);
+            std::vector<const mfc::CObject*> actual;
+            for (mfc::POSITION p = live.GetHeadPosition(); p != nullptr;) {
+                actual.push_back(live.GetNext(p));
+            }
+            if (actual != expected) ++ties_reordered;
+        }
+    }
+    for (int kind = kCountHigh; kind < kCorruptions; ++kind) {
+        EXPECT_GT(corrupted_by[kind], 0u) << "corruption " << kind;
+    }
+    EXPECT_GT(ties_reordered, 0u);
+    EXPECT_GT(truncated, 0u);
+}
+
+/// What a lockstep run asked the model seam for.
+struct Renders {
+    std::size_t projected = 0;
+    std::size_t abstracted = 0;
+    std::size_t identity_checks = 0;
+};
+
+/// Delegates to a real model and counts its renderings.  With
+/// `identity` false it never answers by identity: the model as it was
+/// before the fast path.
+class CountingModel final : public driver::LockstepModel {
+public:
+    CountingModel(std::unique_ptr<driver::LockstepModel> inner, Renders* renders,
+                  bool identity)
+        : inner_(std::move(inner)), renders_(renders), identity_(identity) {}
+
+    bool construct(const std::vector<domain::Value>& args) override {
+        return inner_->construct(args);
+    }
+    bool apply_state(const std::string& state) override {
+        return inner_->apply_state(state);
+    }
+    driver::ModelPrediction apply(const driver::MethodCall& c) override {
+        return inner_->apply(c);
+    }
+    [[nodiscard]] std::string abstract_state() const override {
+        ++renders_->abstracted;
+        return inner_->abstract_state();
+    }
+    [[nodiscard]] bool conforms(const void* object) const noexcept override {
+        if (!identity_) return false;
+        ++renders_->identity_checks;
+        return inner_->conforms(object);
+    }
+    [[nodiscard]] std::unique_ptr<driver::LockstepModel> clone() const override {
+        return std::make_unique<CountingModel>(inner_->clone(), renders_,
+                                               identity_);
+    }
+
+private:
+    std::unique_ptr<driver::LockstepModel> inner_;
+    Renders* renders_;
+    bool identity_;
+};
+
+driver::ModelBinding counted(const driver::ModelBinding& real, Renders* renders,
+                             bool identity) {
+    driver::ModelBinding binding;
+    binding.factory = [&real, renders, identity] {
+        return std::unique_ptr<driver::LockstepModel>(
+            new CountingModel(real.factory(), renders, identity));
+    };
+    binding.project = [&real, renders](const void* object) {
+        ++renders->projected;
+        return real.project(object);
+    };
+    return binding;
+}
+
+/// Every case of the generated suite, clean and under every mutant that
+/// reaches it, gives the same TestResult with the identity hook as
+/// without it — divergence texts included.
+void check_identity_is_invisible(const tspec::ComponentSpec& spec,
+                                 const reflect::ClassBinding& class_binding) {
+    mfc::ElementPool pool;
+    core::SelfTestableComponent component(spec, class_binding);
+    component.set_completions(mfc::make_completions(pool));
+    const driver::TestSuite suite = component.generate_tests();
+    const std::string& class_name = suite.class_name;
+    const reflect::ClassBinding& binding = component.registry().at(class_name);
+    const driver::ModelBinding* real = model::binding_for(class_name);
+    ASSERT_NE(real, nullptr);
+
+    Renders fast_renders;
+    Renders rendered_renders;
+    const driver::ModelBinding with_hook = counted(*real, &fast_renders, true);
+    const driver::ModelBinding without_hook =
+        counted(*real, &rendered_renders, false);
+    driver::RunnerOptions options;
+    options.promote_divergence = true;
+    options.model = &with_hook;
+    const driver::TestRunner fast(component.registry(), options);
+    options.model = &without_hook;
+    const driver::TestRunner rendered(component.registry(), options);
+
+    for (const driver::TestCase& tc : suite.cases) {
+        expect_same_result(fast.run_case(binding, tc),
+                           rendered.run_case(binding, tc), tc.id);
+    }
+    const mutation::CoverageIndex coverage =
+        mutation::run_with_coverage(component.registry(), {}, suite).index;
+    std::size_t diverged = 0;
+    for (const mutation::Mutant& mutant :
+         mutation::enumerate_mutants(mfc::descriptors(), class_name)) {
+        const mutation::MutantActivation activation(mutant);
+        for (const driver::TestCase& tc : suite.cases) {
+            if (!coverage.covers(tc.id, mutant)) continue;
+            const driver::TestResult with = fast.run_case(binding, tc);
+            expect_same_result(with, rendered.run_case(binding, tc),
+                               mutant.id() + " on " + tc.id);
+            if (!with.model_divergence.empty()) ++diverged;
+        }
+    }
+    EXPECT_GT(diverged, 0u);
+    EXPECT_GT(fast_renders.identity_checks, 0u);
+    EXPECT_LT(fast_renders.projected, rendered_renders.projected);
+    EXPECT_EQ(fast_renders.projected, fast_renders.abstracted);
+}
+
+TEST(IdentityCheck, CObListResultsMatchTheRenderedCompare) {
+    check_identity_is_invisible(mfc::coblist_spec(), mfc::coblist_binding());
+}
+
+TEST(IdentityCheck, SortableResultsMatchTheRenderedCompare) {
+    check_identity_is_invisible(mfc::sortable_spec(), mfc::sortable_binding());
+}
+
+TEST(IdentityCheck, AConformingSortableRunRendersNothing) {
+    mfc::ElementPool pool;
+    core::SelfTestableComponent component(mfc::sortable_spec(),
+                                          mfc::sortable_binding());
+    component.set_completions(mfc::make_completions(pool));
+    const driver::TestSuite suite = component.generate_tests();
+
+    Renders renders;
+    const driver::ModelBinding binding =
+        counted(*model::binding_for("CSortableObList"), &renders, true);
+    driver::RunnerOptions options;
+    options.model = &binding;
+    options.promote_divergence = true;
+    const driver::SuiteResult result =
+        driver::TestRunner(component.registry(), options).run(suite);
+    for (const driver::TestResult& r : result.results) {
+        EXPECT_EQ(r.verdict, driver::Verdict::Pass) << r.case_id;
+    }
+    EXPECT_GT(renders.identity_checks, suite.cases.size());
+    EXPECT_EQ(renders.projected, 0u);
+    EXPECT_EQ(renders.abstracted, 0u);
+}
+
+TEST_F(LockstepFixture, ADivergingCaseRendersOnlyAtItsFirstDivergence) {
+    const auto mutants =
+        mutation::enumerate_mutants(mfc::descriptors(), "CObList");
+    const auto* mutant =
+        find_mutant(mutants, "CObList::AddHead@s3.IndVarRepReq.NULL");
+    ASSERT_NE(mutant, nullptr);
+    mfc::CInt three{3}, seven{7}, one{1};
+    driver::MethodCall ctor = call("CObList");
+    ctor.is_constructor = true;
+    driver::TestCase tc;
+    tc.id = "TC1";
+    tc.calls = {ctor, add("AddHead", three), add("AddHead", seven),
+                add("AddTail", one), call("RemoveHead")};
+
+    Renders renders;
+    const driver::ModelBinding binding =
+        counted(*model::binding_for("CObList"), &renders, true);
+    driver::RunnerOptions options;
+    options.model = &binding;
+    const mutation::MutantActivation activation(*mutant);
+    const driver::TestResult result =
+        driver::TestRunner(component_.registry(), options)
+            .run_case(component_.registry().at("CObList"), tc);
+
+    // The second AddHead loses the old head; the compare after it is the
+    // first that does not conform, and the model disengages there.
+    EXPECT_EQ(result.model_divergence,
+              "call 2 AddHead(/* completed by tester: CObject** */): state "
+              "expected \"count=2 [CInt(7), CInt(3)]\" got \"count=2 "
+              "[CInt(7), <short>]\"");
+    EXPECT_EQ(renders.identity_checks, 3u);  // construction and two AddHeads
+    EXPECT_EQ(renders.projected, 1u);
+    EXPECT_EQ(renders.abstracted, 1u);
 }
 
 }  // namespace
