@@ -52,10 +52,9 @@ struct CampaignOptions {
     /// oracle, and every mutant evaluation.  Disabled by default; both
     /// handles are thread-safe.
     obs::Context obs;
-    /// Engine configuration shared by every item.  The runner's
-    /// log_path must be empty (a shared append-file would interleave
-    /// across workers); manual_oracle, when set, must be thread-safe.
-    /// Its obs context is overwritten with the campaign-level `obs`.
+    /// Engine configuration shared by every item.  manual_oracle, when
+    /// set, must be thread-safe.  Its obs context is overwritten with
+    /// the campaign-level `obs`.
     mutation::EngineOptions engine;
     /// When non-empty, every mutant KILLED in this run has its killing
     /// test case located, minimized with the delta-debugging shrinker

@@ -192,10 +192,12 @@ std::size_t run_sandbox(const Session& session, Ledger& ledger,
         mutation::MutantOutcome outcome;
         mutation::PruneStats stats;
         if (result.ok()) {
-            outcome = sandbox::decode_outcome(result.payload)
-                          .value_or(sandbox::outcome_from_termination(
-                              "worker-exit:-3"));  // garbled reply
-            stats = sandbox::decode_outcome_stats(result.payload);
+            const auto reply = JsonObject::parse(result.payload);
+            const auto decoded =
+                reply ? sandbox::decode_outcome(*reply) : std::nullopt;
+            outcome = decoded.value_or(sandbox::outcome_from_termination(
+                "worker-exit:-3"));  // garbled reply
+            if (reply) stats = sandbox::decode_outcome_stats(*reply);
         } else {
             outcome = sandbox::outcome_from_termination(result.outcome());
         }
@@ -214,13 +216,7 @@ std::size_t run_sandbox(const Session& session, Ledger& ledger,
 
 CampaignScheduler::CampaignScheduler(const reflect::Registry& bindings,
                                      CampaignOptions options)
-    : bindings_(bindings), options_(std::move(options)) {
-    if (!options_.engine.runner.log_path.empty()) {
-        throw ContractError(
-            "campaign runner cannot append to a shared log file; leave "
-            "RunnerOptions::log_path empty (use --telemetry-out for telemetry)");
-    }
-}
+    : bindings_(bindings), options_(std::move(options)) {}
 
 std::string CampaignScheduler::fingerprint(
     const driver::TestSuite& suite, const std::vector<mutation::Mutant>& mutants,

@@ -78,9 +78,10 @@ std::string campaign_fingerprint(const CampaignOptions& options,
                                              (oracle.use_assertions ? 2 : 0) |
                                              (oracle.use_output_diff ? 4 : 0)));
     const auto& runner = options.engine.runner;
-    // Bit 2 is the retired capture-reports toggle, always on: kept so
-    // fingerprints (and thus resumable stores) stay valid.
-    h = absorb(h, static_cast<std::uint64_t>((runner.check_invariants ? 1 : 0) | 2 |
+    // Bits 0 and 2 are the retired invariant-checking and
+    // capture-reports toggles, always on: kept so fingerprints (and thus
+    // resumable stores) stay valid.
+    h = absorb(h, static_cast<std::uint64_t>(1 | 2 |
                                              (runner.observe_each_call ? 4 : 0)));
     // The model oracle changes what "killed" means, so it is campaign
     // identity — but only when actually engaged, keeping every

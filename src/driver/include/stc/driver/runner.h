@@ -133,11 +133,7 @@ struct CaseCheckpoint {
 };
 
 struct RunnerOptions {
-    bool check_invariants = true;   ///< invariant before/after every call (Fig. 6)
     bool observe_each_call = false; ///< additionally capture state after every call
-    /// When non-empty, the suite log is also appended to this file — the
-    /// literal "Result.txt" behaviour of the paper's generated drivers.
-    std::string log_path;
     /// Lockstep reference model (stc::model): when set and valid, every
     /// test case mirrors its calls into a fresh model instance and
     /// records the first divergence in TestResult::model_divergence.

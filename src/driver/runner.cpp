@@ -1,7 +1,6 @@
 #include "stc/driver/runner.h"
 
 #include <chrono>
-#include <fstream>
 #include <sstream>
 
 #include "stc/bit/built_in_test.h"
@@ -335,6 +334,10 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
             record_failure(Verdict::IllegalQuiescence, qv.what());
             finish();
             return result;
+        } catch (const CrashSignal& cs) {
+            record_failure(Verdict::Crash, cs.what());
+            finish();
+            return result;
         } catch (const std::exception& e) {
             record_failure(Verdict::UncaughtException, e.what());
             finish();
@@ -443,14 +446,14 @@ TestResult TestRunner::run_case_impl(const reflect::ClassBinding& binding,
                 }
                 observations += call.method_name;
                 observations += " -> <rejected>\n";
-                if (options_.check_invariants) observe_invariant(cut.get());
+                observe_invariant(cut.get());
                 continue;
             }
 
-            if (options_.check_invariants) observe_invariant(cut.get());
+            observe_invariant(cut.get());
             const domain::Value rv =
                 binding.invoke(cut.get(), call.method_name, call.arguments);
-            if (options_.check_invariants) observe_invariant(cut.get());
+            observe_invariant(cut.get());
             const std::string returned =
                 rv.is_empty() ? std::string() : render_return(rv);
 
@@ -576,14 +579,6 @@ SuiteResult TestRunner::run(const TestSuite& suite) const {
         options_.obs.metrics.add(
             "bit.assertions_violated",
             assertion_stats.total_violated() - violated_before);
-    }
-
-    if (!options_.log_path.empty()) {
-        std::ofstream file(options_.log_path, std::ios::app);
-        if (!file) {
-            throw Error("cannot open log file: " + options_.log_path);
-        }
-        file << out.log;
     }
     return out;
 }

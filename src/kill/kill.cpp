@@ -51,7 +51,6 @@ fuzz::ShrinkResult shrink_killer(const KillContext& context,
                                  oracle::KillReason reason) {
     driver::RunnerOptions ro = options.search.runner;
     ro.promote_divergence = false;
-    ro.log_path.clear();
     ro.observer = nullptr;
     const driver::TestRunner runner(*context.registry, ro);
     const std::string& class_name = context.spec->class_name;
@@ -98,7 +97,6 @@ std::string persist_killer(const KillContext& context,
 
     driver::RunnerOptions ro = options.search.runner;
     ro.promote_divergence = true;  // divergence kills must fail on replay
-    ro.log_path.clear();
     ro.observer = nullptr;
     const driver::TestRunner runner(*context.registry, ro);
     const fuzz::CaseRunner case_runner = [&](const driver::TestCase& tc) {

@@ -512,7 +512,6 @@ SearchOutcome ProductSearch::find_killer(const mutation::Mutant& mutant) const {
     FirstHitSink sink(mutant);
     driver::RunnerOptions ro = options_.runner;
     ro.promote_divergence = false;
-    ro.log_path.clear();
     ro.observer = nullptr;
     const driver::TestRunner mutant_runner(registry_, ro);
     ro.observer = &sink;

@@ -150,8 +150,7 @@ private:
 /// distinct mutants, because mutant activation and hit tracking are
 /// per-thread (MutationController is thread_local).  The runners and
 /// `options.manual_oracle` must themselves be safe to invoke
-/// concurrently (the stock TestRunner::run is, as long as
-/// RunnerOptions::log_path is empty).
+/// concurrently (the stock TestRunner::run is).
 [[nodiscard]] MutantOutcome evaluate_mutant(
     const Mutant& mutant, const driver::TestRunner& runner,
     const driver::TestSuite& suite, const oracle::GoldenRecord& golden,

@@ -69,11 +69,11 @@ struct TraceEvent {
     JsonObject args;              ///< flat extra fields
 };
 
-/// Render one TraceEvent as a flat JsonObject (ids as hex16 under
-/// "span"/"parent", args nested as one JSON-encoded string under
-/// "args") — the Telemetry-frame wire form — and parse it back.
-/// Round-trips exactly.
-[[nodiscard]] JsonObject trace_event_to_json(const TraceEvent& event);
+/// Read one streamed span back from its parsed Telemetry-frame line
+/// (docs/FORMATS.md §11, written by serve::append_span_line): ids as
+/// hex16 under "span"/"parent", args nested as one JSON-encoded string
+/// under "args".  std::nullopt when a required field is missing.  The
+/// general reader behind the span codec's fast scanner.
 [[nodiscard]] std::optional<TraceEvent> trace_event_from_json(
     const JsonObject& object);
 

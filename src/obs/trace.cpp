@@ -212,22 +212,6 @@ SpanScope::~SpanScope() { tracer_.end(std::move(span_)); }
 
 // ------------------------------------------------- wire/JSONL form
 
-JsonObject trace_event_to_json(const TraceEvent& event) {
-    JsonObject object;
-    object.set("name", event.name)
-        .set("cat", event.category)
-        .set("ts", event.ts_us)
-        .set("dur", event.dur_us)
-        .set("tid", event.tid)
-        .set("actor", event.actor)
-        .set("span", hex16(event.span_id));
-    if (event.parent_id != 0) object.set("parent", hex16(event.parent_id));
-    // The args object rides as one JSON-encoded string: JsonObject is
-    // deliberately flat, and the frame payload is itself a JsonObject.
-    if (event.args.size() > 0) object.set("args", event.args.to_line());
-    return object;
-}
-
 std::optional<TraceEvent> trace_event_from_json(const JsonObject& object) {
     const auto name = object.get_string("name");
     const auto cat = object.get_string("cat");

@@ -2,12 +2,10 @@
 
 #include <utility>
 
-#include "stc/obs/json.h"
-
 namespace stc::sandbox {
 
-std::string encode_outcome(const mutation::MutantOutcome& outcome,
-                           const mutation::PruneStats* stats) {
+obs::JsonObject outcome_object(const mutation::MutantOutcome& outcome,
+                               const mutation::PruneStats* stats) {
     obs::JsonObject object;
     object.set("fate", mutation::to_string(outcome.fate));
     object.set("reason", oracle::to_string(outcome.reason));
@@ -15,42 +13,22 @@ std::string encode_outcome(const mutation::MutantOutcome& outcome,
     object.set("probe_kill", outcome.killed_by_probe);
     object.set("model_only", outcome.model_only);
     if (stats != nullptr) {
-        object.set("executed_pairs",
-                   static_cast<std::uint64_t>(stats->executed_pairs));
-        object.set("pruned_pairs",
-                   static_cast<std::uint64_t>(stats->pruned_pairs));
-        object.set("memoized_pairs",
-                   static_cast<std::uint64_t>(stats->memoized_pairs));
-        object.set("memoized_calls",
-                   static_cast<std::uint64_t>(stats->memoized_calls));
+        object.set("executed_pairs", stats->executed_pairs);
+        object.set("pruned_pairs", stats->pruned_pairs);
+        object.set("memoized_pairs", stats->memoized_pairs);
+        object.set("memoized_calls", stats->memoized_calls);
     }
-    return object.to_line();
-}
-
-mutation::PruneStats decode_outcome_stats(std::string_view payload) {
-    mutation::PruneStats stats;
-    const auto object = obs::JsonObject::parse(payload);
-    if (!object) return stats;
-    const auto grab = [&](const char* key) -> std::uint64_t {
-        const auto value = object->get_int(key);
-        return value && *value >= 0 ? static_cast<std::uint64_t>(*value) : 0;
-    };
-    stats.executed_pairs = grab("executed_pairs");
-    stats.pruned_pairs = grab("pruned_pairs");
-    stats.memoized_pairs = grab("memoized_pairs");
-    stats.memoized_calls = grab("memoized_calls");
-    return stats;
+    return object;
 }
 
 std::optional<mutation::MutantOutcome> decode_outcome(
-    std::string_view payload) {
-    const auto object = obs::JsonObject::parse(payload);
-    if (!object) return std::nullopt;
-    const auto fate_text = object->get_string("fate");
-    const auto reason_text = object->get_string("reason");
-    const auto hit = object->get_bool("hit");
-    const auto probe_kill = object->get_bool("probe_kill");
-    if (!fate_text || !reason_text || !hit || !probe_kill) {
+    const obs::JsonObject& reply) {
+    const auto fate_text = reply.get_string("fate");
+    const auto reason_text = reply.get_string("reason");
+    const auto hit = reply.get_bool("hit");
+    const auto probe_kill = reply.get_bool("probe_kill");
+    const auto model_only = reply.get_bool("model_only");
+    if (!fate_text || !reason_text || !hit || !probe_kill || !model_only) {
         return std::nullopt;
     }
     const auto fate = mutation::fate_from_string(*fate_text);
@@ -61,10 +39,36 @@ std::optional<mutation::MutantOutcome> decode_outcome(
     outcome.reason = *reason;
     outcome.hit_by_suite = *hit;
     outcome.killed_by_probe = *probe_kill;
-    // Tolerant: replies encoded before the model-oracle field existed
-    // decode with the default.
-    outcome.model_only = object->get_bool("model_only").value_or(false);
+    outcome.model_only = *model_only;
     return outcome;
+}
+
+mutation::PruneStats decode_outcome_stats(const obs::JsonObject& reply) {
+    const auto grab = [&](const char* key) {
+        return reply.get_uint(key).value_or(0);
+    };
+    mutation::PruneStats stats;
+    stats.executed_pairs = grab("executed_pairs");
+    stats.pruned_pairs = grab("pruned_pairs");
+    stats.memoized_pairs = grab("memoized_pairs");
+    stats.memoized_calls = grab("memoized_calls");
+    return stats;
+}
+
+std::string encode_outcome(const mutation::MutantOutcome& outcome,
+                           const mutation::PruneStats* stats) {
+    return outcome_object(outcome, stats).to_line();
+}
+
+std::optional<mutation::MutantOutcome> decode_outcome(
+    std::string_view payload) {
+    const auto reply = obs::JsonObject::parse(payload);
+    return reply ? decode_outcome(*reply) : std::nullopt;
+}
+
+mutation::PruneStats decode_outcome_stats(std::string_view payload) {
+    const auto reply = obs::JsonObject::parse(payload);
+    return reply ? decode_outcome_stats(*reply) : mutation::PruneStats{};
 }
 
 mutation::MutantOutcome outcome_from_termination(std::string kind) {

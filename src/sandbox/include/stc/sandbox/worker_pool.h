@@ -3,14 +3,14 @@
 //
 // The pool owns N worker slots, fixed at construction.  Each worker is
 // a persistent process that loops "read request frame, run the job
-// closure, write reply frame" (ipc.h).  run() is a single-threaded
-// poll() event loop in the parent: it forks a worker into any slot
-// whose worker is dead (lazily, only when there is a payload to hand
-// it), dispatches payloads to idle workers, enforces per-item
-// wall-clock deadlines (SIGKILL escalation), decodes every child death
-// (limits.h), and reports exactly one TaskResult per payload.  A
-// crashing, hanging, or allocation-bombing job kills only its worker —
-// never the run.
+// closure, write reply frame" over a pair of pipes, in stc::wire raw
+// frames (stc/wire/frame.h).  run() is a single-threaded poll() event
+// loop in the parent: it forks a worker into any slot whose worker is
+// dead (lazily, only when there is a payload to hand it), dispatches
+// payloads to idle workers, enforces per-item wall-clock deadlines
+// (SIGKILL escalation), decodes every child death (limits.h), and
+// reports exactly one TaskResult per payload.  A crashing, hanging, or
+// allocation-bombing job kills only its worker — never the run.
 //
 // Workers live as long as the pool.  run() returns with its live
 // workers still running, so successive run() calls reuse them (the

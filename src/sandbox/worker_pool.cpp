@@ -11,7 +11,7 @@
 #include <csignal>
 #include <utility>
 
-#include "stc/sandbox/ipc.h"
+#include "stc/wire/frame.h"
 
 namespace stc::sandbox {
 
@@ -47,7 +47,7 @@ struct Worker {
     pid_t pid = -1;
     int req_fd = -1;   ///< parent writes requests here
     int resp_fd = -1;  ///< parent reads replies here (nonblocking)
-    FrameBuffer buf;
+    wire::RawFrameBuffer buf;
     bool busy = false;
     bool deadline_killed = false;
     bool forked_before = false;  ///< the slot's next fork is a respawn
@@ -60,7 +60,7 @@ struct Worker {
 
 [[noreturn]] void child_main(const Job& job, int req_read, int resp_write) {
     for (;;) {
-        auto request = read_frame(req_read);
+        auto request = wire::read_raw_frame(req_read);
         if (!request) ::_exit(0);  // parent closed the request pipe
         std::string reply;
         try {
@@ -68,7 +68,7 @@ struct Worker {
         } catch (...) {
             ::_exit(kWorkerFailureExit);
         }
-        if (!write_frame(resp_write, reply)) ::_exit(kWorkerFailureExit);
+        if (!wire::write_raw_frame(resp_write, reply)) ::_exit(kWorkerFailureExit);
     }
 }
 
@@ -240,8 +240,8 @@ WorkerPool::WorkerPool(Job job, PoolOptions options)
 
 WorkerPool::~WorkerPool() {
     // Orderly shutdown: closing the request pipes EOFs every idle child
-    // out of read_frame, so it _exit(0)s.  A worker still busy (run()
-    // unwound mid-item) is killed rather than waited on.
+    // out of wire::read_raw_frame, so it _exit(0)s.  A worker still busy
+    // (run() unwound mid-item) is killed rather than waited on.
     for (std::size_t i = 0; i < impl_->workers.size(); ++i) {
         Worker& worker = impl_->workers[i];
         if (!worker.alive()) continue;
@@ -292,7 +292,7 @@ void WorkerPool::run(
                 continue;
             }
             const std::size_t item = next;
-            if (!write_frame(worker.req_fd, payloads[item])) {
+            if (!wire::write_raw_frame(worker.req_fd, payloads[item])) {
                 const pid_t pid = worker.pid;
                 const DecodedExit decoded = reap_worker(worker);
                 pool.emit(WorkerEventKind::Exit, slot, pid,

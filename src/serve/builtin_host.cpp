@@ -138,10 +138,7 @@ std::optional<BuiltinCampaignConfig> parse_hello(const obs::JsonObject& hello,
         hello.get_bool("states").value_or(false);
     config.probe = hello.get_bool("probe").value_or(false);
     config.model = hello.get_bool("model").value_or(false);
-    // A pre-prune coordinator never prunes; defaulting to false keeps
-    // such mixed pairs agreeing (their fingerprints match too, since
-    // neither absorbs the prune token).
-    config.prune = hello.get_bool("prune").value_or(false);
+    if (const auto prune = hello.get_bool("prune")) config.prune = *prune;
     return config;
 }
 
@@ -265,17 +262,16 @@ campaign::CampaignResult BuiltinCampaign::dispatch(
                               .set("item", static_cast<std::uint64_t>(item.index))
                               .set("mutant", item.mutant_id)
                         : obs::JsonObject());
-                // The Result payload is the sandbox outcome codec plus
-                // item/wall_ms/worker — decode_outcome tolerates the
+                // The Result payload is the sandbox outcome object plus
+                // item/mutant/wall_ms/worker; the decoders ignore the
                 // extras.
-                const std::string line = result.to_line();
                 ledger.finish(item,
-                              sandbox::decode_outcome(line).value_or(
+                              sandbox::decode_outcome(result).value_or(
                                   sandbox::outcome_from_termination(
                                       "worker-exit:-3")),
                               result.get_uint("worker").value_or(0),
                               result.get_double("wall_ms").value_or(0.0),
-                              sandbox::decode_outcome_stats(line));
+                              sandbox::decode_outcome_stats(result));
             });
     }
     if (stats != nullptr) *stats = run_stats;
@@ -305,17 +301,15 @@ public:
         const mutation::MutantOutcome outcome =
             campaign_->evaluate(*item, *mutant_id, &stats);
         const double wall = ms_since(t0);
-        // Result payload = the sandbox outcome codec (the merge decodes
-        // with sandbox::decode_outcome) plus the dispatch bookkeeping.
-        // Prune counters ride along only when the fast tier ran, so an
-        // unpruned reply carries no misleading zeros.
-        auto payload = obs::JsonObject::parse(sandbox::encode_outcome(
-            outcome, campaign_->pruned() ? &stats : nullptr));
-        if (!payload) throw Error("outcome did not round-trip");
-        payload->set("item", *item)
+        // Result payload = the sandbox outcome object (the merge decodes
+        // it with sandbox::decode_outcome) plus the dispatch bookkeeping.
+        // Prune counters ride along only when the fast tier ran.
+        obs::JsonObject payload = sandbox::outcome_object(
+            outcome, campaign_->pruned() ? &stats : nullptr);
+        payload.set("item", *item)
             .set("mutant", *mutant_id)
             .set("wall_ms", wall);
-        return *payload;
+        return payload;
     }
 
 private:

@@ -53,9 +53,6 @@ struct WorkerState {
     std::deque<Outstanding> window;
     Clock::time_point last_heard;
     bool ping_outstanding = false;
-    /// Protocol minor rev the worker announced in HelloAck (1 when it
-    /// predates the field) — gates the end-of-session telemetry drain.
-    std::uint64_t proto_minor = 1;
     /// Trace-clock time the coordinator finished merging this worker's
     /// last Result (where its next item-dispatch span may start).
     std::uint64_t merged_us = 0;
@@ -106,35 +103,25 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     auto emit = [&](const obs::JsonObject& event) {
         if (options_.telemetry) options_.telemetry(event);
     };
-    // A Telemetry frame is one worker-streamed span or JSONL event
-    // (minor 2), or many of them newline-joined (minor 3 batching);
-    // each folds into the coordinator's own instruments.  Never fatal:
-    // a malformed payload is dropped, not a protocol error — telemetry
-    // must not be able to kill a campaign.
+    // A Telemetry frame is newline-joined lines, each a worker-streamed
+    // span (canonical span line) or a §5 event line; each folds into the
+    // coordinator's own instruments.  Never fatal: a malformed line is
+    // dropped, not a protocol error — telemetry must not be able to kill
+    // a campaign.
     auto handle_telemetry_line = [&](std::string_view line) {
-        // Canonical span lines (the overwhelming majority of streamed
-        // telemetry) skip the generic JSON round-trip; anything the
-        // strict scanner rejects falls through to the generic path.
         if (is_span_line(line)) {
             if (!tracing) return;
-            if (auto fast = parse_span_line(line)) {
-                tracer.absorb(std::move(*fast));
-                return;
+            // The strict scanner takes nearly every span; escaped
+            // strings and args-bearing spans take the generic parse.
+            auto event = parse_span_line(line);
+            if (!event) {
+                const auto body = obs::JsonObject::parse(line);
+                if (body) event = obs::trace_event_from_json(*body);
             }
+            if (event) tracer.absorb(std::move(*event));
+            return;
         }
-        const auto body = obs::JsonObject::parse(line);
-        if (!body) return;
-        const std::string kind = body->get_string("kind").value_or("");
-        if (kind == "span") {
-            if (!tracing) return;
-            if (auto event = obs::trace_event_from_json(*body)) {
-                tracer.absorb(std::move(*event));
-            }
-        } else if (kind == "event") {
-            const auto data = body->get_string("data");
-            if (!data) return;
-            if (const auto event = obs::JsonObject::parse(*data)) emit(*event);
-        }
+        if (const auto event = obs::JsonObject::parse(line)) emit(*event);
     };
     auto handle_telemetry = [&](const std::string& payload) {
         std::size_t start = 0;
@@ -200,7 +187,6 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         }
         obs::JsonObject hello = options_.hello;
         hello.set("ordinal", static_cast<std::uint64_t>(w));
-        hello.set("proto_minor", wire::kProtocolMinor);
         if (tracing) {
             hello.set("trace", obs::hex16(tracer.trace_id()))
                 .set("parent", obs::hex16(span.id()))
@@ -291,7 +277,6 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                     return false;
                 }
                 state.phase = WorkerState::Phase::Ready;
-                state.proto_minor = ack->get_uint("proto_minor").value_or(1);
                 ++stats.workers_connected;
                 emit(obs::JsonObject()
                          .set("event", "worker-connect")
@@ -399,8 +384,7 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                 obs::JsonObject work =
                     obs::JsonObject()
                         .set("item", static_cast<std::uint64_t>(item.index))
-                        .set("mutant", item.mutant_id)
-                        .set("item_seed", item.item_seed);
+                        .set("mutant", item.mutant_id);
                 if (tracing) work.set("parent", obs::hex16(item_span_id(*pos)));
                 state.window.push_back(Outstanding{*pos, tracer.now_us()});
                 if (!wire::write_message(state.fd.get(),
@@ -496,9 +480,9 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     }
 
     // Campaign complete: a polite Shutdown ends each surviving session.
-    // A minor-2 worker flushes its tail telemetry (session-end event,
+    // A streaming worker flushes its tail telemetry (session-end event,
     // the ended worker-session span, a final metrics snapshot) before
-    // closing, so when streaming was negotiated we keep reading its
+    // closing, so when the Hello asked for streaming we keep reading its
     // connection until EOF.  Every worker gets its Shutdown first and
     // all drain in one poll loop under one bound, so a worker that
     // wedges cannot starve the others' drains.
@@ -507,7 +491,7 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         if (state.phase == WorkerState::Phase::Dead) continue;
         (void)wire::write_message(state.fd.get(), wire::MessageType::Shutdown,
                                   "");
-        if (!draining || state.proto_minor < 2) state.fd.close();
+        if (!draining) state.fd.close();
     }
     const auto drain_deadline = Clock::now() + std::chrono::milliseconds(2000);
     for (;;) {

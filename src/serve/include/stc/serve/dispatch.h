@@ -12,9 +12,10 @@
 // empty it takes unsent items from the back of the longest other queue.
 //
 // Fault model: a worker is dead when its connection EOFs, its stream
-// fails to decode, a write to it errors, a Result does not answer its
-// oldest outstanding Work, or it stays silent past `dead_after_ms`
-// (keepalive Pings are sent after `keepalive_ms` of silence).  A dead
+// fails to decode (a peer of another protocol version included), a
+// write to it errors, a Result does not answer its oldest outstanding
+// Work, or it stays silent past `dead_after_ms` (keepalive Pings are
+// sent after `keepalive_ms` of silence).  A dead
 // worker's unfinished items — its window and its queue — stay in its
 // queue, and the survivors take them under the same rule; item results
 // are a pure function of (handshake config, item), so re-execution
@@ -59,13 +60,13 @@ struct DispatchOptions {
     int dead_after_ms = 5000;
     obs::Context obs;
     /// JSONL telemetry sink (worker-connect / worker-disconnect /
-    /// worker-redispatch / item-start events); may be empty.  When
-    /// streaming is negotiated, the workers' own events (item-finish,
+    /// worker-redispatch / item-start events); may be empty.  With
+    /// `stream_telemetry`, the workers' own events (item-finish,
     /// worker-session, metrics-snapshot) arrive here too, making this
     /// one sink fleet-wide (docs/FORMATS.md §11).
     std::function<void(const obs::JsonObject&)> telemetry;
-    /// Ask minor-2 workers to stream their telemetry events back over
-    /// the socket (the `--telemetry-out` fleet aggregation).
+    /// Ask workers to stream their telemetry events back over the
+    /// socket (the `--telemetry-out` fleet aggregation).
     bool stream_telemetry = false;
     /// Metrics-snapshot cadence requested from streaming workers
     /// (`--telemetry-interval-ms`); 0 = item-fate events only, no

@@ -1,21 +1,20 @@
-// Fast wire codec for streamed worker spans.
+// Wire codec for streamed worker spans.
 //
-// Telemetry frames carry spans as flat JSON lines (docs/FORMATS.md
-// §11); on a hot campaign tens of thousands of them cross the socket,
-// and the generic JsonObject round-trip (build object -> render ->
-// tokenize -> rebuild object) costs several microseconds per span —
-// enough to dominate a streamed run on a small machine.  This codec
-// writes and reads the *canonical* span line directly:
+// A Telemetry frame's span lines (docs/FORMATS.md §11) are written
+// here and nowhere else.  On a hot campaign tens of thousands of them
+// cross the socket, and the generic JsonObject round-trip (build object
+// -> render -> tokenize -> rebuild object) costs several microseconds
+// per span — enough to dominate a streamed run on a small machine.  So
+// this codec writes and reads the canonical span line directly:
 //
 //   {"kind":"span","name":...,"cat":...,"ts":N,"dur":N,"tid":N,
 //    "actor":N,"span":"<hex16>"[,"parent":"<hex16>"][,"args":"..."]}
 //
-// The wire format is unchanged — the line is ordinary JSON and any
-// peer may still parse it generically.  The reader only accepts this
-// exact field order; anything else (a minor-2 peer's "kind"-last
-// line, escaped strings, an "args" field — whose JSON-encoded value
-// always carries escaped quotes) returns nullopt and the caller falls
-// back to JsonObject::parse + trace_event_from_json.  The hot span
+// The line is ordinary JSON.  The fast reader only accepts this exact
+// field order without escapes; a line with escaped strings or an
+// "args" field (whose JSON-encoded value always carries escaped
+// quotes) returns nullopt, and the caller falls back to
+// JsonObject::parse + obs::trace_event_from_json.  The hot span
 // categories (method-call, test-case) never carry args, so the fast
 // path covers virtually the whole stream.
 #pragma once

@@ -5,20 +5,25 @@
 // checked by the frame decoder; component, seed, oracle/model config
 // and campaign fingerprint by the SessionFactory), then loops:
 //
-//     Work {item, mutant, item_seed}  ->  Result {item, fate, ...}
-//     Ping {nonce}                    ->  Pong {nonce}
-//     Shutdown | EOF                  ->  session ends
+//     Work {item, mutant[, parent]}  ->  Result {item, fate, ...}
+//     Ping {nonce}                   ->  Pong {nonce}
+//     Shutdown | EOF                 ->  session ends
+//
+// When the Hello asks for it, the daemon also streams its spans and
+// telemetry events back in Telemetry frames (docs/FORMATS.md §11).
 //
 // The daemon is deliberately component-agnostic: everything that knows
 // about t-specs, suites and mutants arrives through the SessionFactory
 // (serve/builtin_host.h provides the factory for the built-in MFC
 // components).  A handshake the factory rejects — unknown component,
 // fingerprint mismatch — answers HelloAck{ok:false} and closes; a peer
-// speaking the wrong protocol version or garbage gets an Error frame
-// naming the problem.  Either way the daemon survives and accepts the
-// next coordinator (unless `once`).
+// speaking another protocol version, or garbage, gets an Error frame
+// naming the problem (for a version mismatch, both versions).  Either
+// way the daemon survives and accepts the next coordinator (unless
+// `once`).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,11 +46,12 @@ public:
     /// cross-check.
     [[nodiscard]] virtual const std::string& fingerprint() const = 0;
 
-    /// Evaluate one work item ({"item": N, "mutant": id, "item_seed":
-    /// S}); returns the Result payload ({"item": N, "fate": ...,
-    /// "reason": ..., "hit": ..., "probe_kill": ..., "model_only": ...,
-    /// "wall_ms": ...}).  Throwing aborts the session with an Error
-    /// frame.
+    /// Evaluate one work item ({"item": N, "mutant": id}); returns the
+    /// Result payload ({"fate": ..., "reason": ..., "hit": ...,
+    /// "probe_kill": ..., "model_only": ..., "item": N, "mutant": id,
+    /// "wall_ms": ...}), which the daemon renders once for the Result
+    /// frame and once more, as `item-finish`, for streamed telemetry.
+    /// Throwing aborts the session with an Error frame.
     [[nodiscard]] virtual obs::JsonObject evaluate(
         const obs::JsonObject& work) = 0;
 };
@@ -54,8 +60,8 @@ public:
 /// (the HelloAck rejection message).  `obs` is the observability
 /// context the session's executors should record into: the daemon's own
 /// instruments normally, or a per-session streaming tracer/metrics pair
-/// when the coordinator negotiated telemetry streaming (protocol minor
-/// 2, docs/FORMATS.md §11).
+/// when the coordinator asked for streamed spans or telemetry
+/// (docs/FORMATS.md §11).
 using SessionFactory = std::function<std::unique_ptr<Session>(
     const obs::JsonObject& hello, const obs::Context& obs,
     std::string* error)>;
@@ -110,7 +116,7 @@ private:
     Fd listener_;
     std::uint16_t port_ = 0;
     std::size_t sessions_ = 0;
-    bool stopping_ = false;
+    std::atomic<bool> stopping_{false};  ///< set by stop() on another thread
 };
 
 }  // namespace stc::serve

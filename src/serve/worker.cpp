@@ -82,10 +82,9 @@ void WorkerDaemon::serve_connection(int fd) {
     std::uint64_t ordinal = 0;
     std::size_t items = 0;
 
-    // Streaming state (protocol minor 2, docs/FORMATS.md §11): set up at
-    // Hello when the coordinator announces minor >= 2 and asks for spans
-    // ("trace") and/or telemetry events ("telemetry_interval_ms").
-    std::uint64_t peer_minor = 1;
+    // Streaming state (docs/FORMATS.md §11): set up at Hello when the
+    // coordinator asks for spans ("trace") and/or telemetry events
+    // ("telemetry_interval_ms").
     bool stream_events = false;
     std::uint64_t telemetry_interval_ms = 0;
     obs::Tracer session_tracer;    // enabled only when streaming spans
@@ -102,11 +101,11 @@ void WorkerDaemon::serve_connection(int fd) {
     auto emit = [&](const obs::JsonObject& event) {
         if (options_.telemetry) options_.telemetry(event);
     };
-    // Minor-3 peers accept many newline-joined payloads per Telemetry
-    // frame, so spans and events coalesce here and flush once per work
-    // item (or at this size cap) instead of paying one write() syscall
-    // each — the difference between ~95 and ~1600 items/s on a hot
-    // campaign with streaming enabled.
+    // A Telemetry frame is newline-joined lines, each a canonical span
+    // line or a §5 event line.  Lines coalesce here and flush once per
+    // work item (or at this size cap) instead of paying one write()
+    // syscall each — the difference between ~95 and ~1600 items/s on a
+    // hot campaign with streaming enabled.
     constexpr std::size_t kTelemetryBatchBytes = 32 * 1024;
     std::string telemetry_batch;
     auto flush_telemetry = [&] {
@@ -116,30 +115,23 @@ void WorkerDaemon::serve_connection(int fd) {
         telemetry_batch.clear();
         return ok;
     };
-    auto send_telemetry = [&](const obs::JsonObject& payload) {
-        if (peer_minor < 3) {
-            return wire::write_message(fd, wire::MessageType::Telemetry,
-                                       payload.to_line());
-        }
-        if (!telemetry_batch.empty()) telemetry_batch += '\n';
-        telemetry_batch += payload.to_line();
-        return telemetry_batch.size() < kTelemetryBatchBytes
-                   ? true
-                   : flush_telemetry();
+    /// Close the line just appended to the batch; false only when the
+    /// size cap forced a flush into a dead socket.
+    auto end_line = [&] {
+        return telemetry_batch.size() < kTelemetryBatchBytes ||
+               flush_telemetry();
     };
     /// Ship one JSONL event to the coordinator's telemetry stream (and
     /// the daemon's own sink).  False only on a dead socket.
     auto emit_streamed = [&](const obs::JsonObject& event) {
         emit(event);
         if (!stream_events) return true;
-        return send_telemetry(obs::JsonObject()
-                                  .set("kind", "event")
-                                  .set("data", event.to_line()));
+        if (!telemetry_batch.empty()) telemetry_batch += '\n';
+        telemetry_batch += event.to_line();
+        return end_line();
     };
-    /// Ship the session tracer's newly completed spans.  Spans are by
-    /// far the hottest telemetry (tens of thousands per campaign), so
-    /// minor-3 peers get the canonical codec line appended straight
-    /// into the batch — no intermediate JsonObject per span.
+    /// Ship the session tracer's newly completed spans, each appended
+    /// as its canonical line straight into the batch.
     auto drain_spans = [&] {
         if (!session_tracer.enabled()) return true;
         for (obs::TraceEvent event : session_tracer.events_from(span_cursor)) {
@@ -147,18 +139,9 @@ void WorkerDaemon::serve_connection(int fd) {
             const std::int64_t ts =
                 static_cast<std::int64_t>(event.ts_us) + ts_offset_us;
             event.ts_us = ts > 0 ? static_cast<std::uint64_t>(ts) : 0;
-            if (peer_minor >= 3) {
-                if (!telemetry_batch.empty()) telemetry_batch += '\n';
-                append_span_line(telemetry_batch, event);
-                if (telemetry_batch.size() >= kTelemetryBatchBytes &&
-                    !flush_telemetry()) {
-                    return false;
-                }
-            } else {
-                auto payload = obs::trace_event_to_json(event);
-                payload.set("kind", "span");
-                if (!send_telemetry(payload)) return false;
-            }
+            if (!telemetry_batch.empty()) telemetry_batch += '\n';
+            append_span_line(telemetry_batch, event);
+            if (!end_line()) return false;
         }
         return true;
     };
@@ -241,41 +224,36 @@ void WorkerDaemon::serve_connection(int fd) {
                     return;
                 }
                 ordinal = hello->get_uint("ordinal").value_or(0);
-                peer_minor = hello->get_uint("proto_minor").value_or(1);
                 obs::Context session_obs = options_.obs;
-                if (peer_minor >= 2) {
-                    stream_events = hello->has("telemetry_interval_ms");
-                    telemetry_interval_ms =
-                        hello->get_uint("telemetry_interval_ms").value_or(0);
-                    if (const auto trace = hello->get_string("trace")) {
-                        // Span ids are qualified by actor = ordinal + 1
-                        // (the coordinator is actor 0), so the merged
-                        // trace is collision-free by construction.
-                        session_tracer = obs::Tracer::make(
-                            static_cast<int>(ordinal) + 1);
-                        session_tracer.set_trace_id(obs::from_hex16(*trace));
-                        ts_offset_us = static_cast<std::int64_t>(
-                                           hello->get_uint("now_us").value_or(
-                                               0)) -
-                                       static_cast<std::int64_t>(
-                                           session_tracer.now_us());
-                        session_span = session_tracer.begin_with_parent(
-                            "phase", "worker-session",
-                            obs::from_hex16(
-                                hello->get_string("parent").value_or("")),
-                            obs::JsonObject().set("worker", ordinal));
-                        session_obs.tracer = session_tracer;
-                    }
-                    if (stream_events) {
-                        session_metrics = obs::Metrics::make();
-                        session_obs.metrics = session_metrics;
-                    }
+                stream_events = hello->has("telemetry_interval_ms");
+                telemetry_interval_ms =
+                    hello->get_uint("telemetry_interval_ms").value_or(0);
+                if (const auto trace = hello->get_string("trace")) {
+                    // Span ids are qualified by actor = ordinal + 1 (the
+                    // coordinator is actor 0), so the merged trace is
+                    // collision-free by construction.
+                    session_tracer =
+                        obs::Tracer::make(static_cast<int>(ordinal) + 1);
+                    session_tracer.set_trace_id(obs::from_hex16(*trace));
+                    ts_offset_us =
+                        static_cast<std::int64_t>(
+                            hello->get_uint("now_us").value_or(0)) -
+                        static_cast<std::int64_t>(session_tracer.now_us());
+                    session_span = session_tracer.begin_with_parent(
+                        "phase", "worker-session",
+                        obs::from_hex16(
+                            hello->get_string("parent").value_or("")),
+                        obs::JsonObject().set("worker", ordinal));
+                    session_obs.tracer = session_tracer;
+                }
+                if (stream_events) {
+                    session_metrics = obs::Metrics::make();
+                    session_obs.metrics = session_metrics;
                 }
                 std::string error;
                 session = factory_(*hello, session_obs, &error);
                 obs::JsonObject ack;
                 ack.set("ok", session != nullptr);
-                ack.set("proto_minor", wire::kProtocolMinor);
                 if (session != nullptr) {
                     ack.set("fingerprint", session->fingerprint());
                 } else {

@@ -1,20 +1,22 @@
-// stc::wire — the framework's framing layer, shared by every byte
-// stream a campaign crosses: the sandbox fork-server pipes (raw frames)
-// and the `concat serve` / `concat dispatch` sockets (versioned
-// messages).  docs/FORMATS.md §10 is the normative spec.
+// stc::wire — the framing layer shared by every byte stream a campaign
+// crosses: the sandbox fork-server pipes (raw frames) and the
+// `concat serve` / `concat dispatch` sockets (versioned messages).
+// docs/FORMATS.md §8 and §10 are the normative spec.
 //
 // Two codecs over one core:
 //
 //   raw frame      = u32le payload length | payload
-//     The PR-4 pipe IPC, extracted verbatim from stc::sandbox.  Both
-//     ends are forked from one binary, so the frame needs no identity.
+//     The sandbox pipe codec.  Both ends are forked from one binary,
+//     so the frame needs no identity.
 //
 //   message        = "STCW" magic | u8 version | u8 type | u32le length
 //                    | payload
-//     The socket wire protocol.  Peers are separate processes on
-//     possibly different hosts and builds, so every frame carries the
-//     magic (is this even our protocol?), the protocol version (can I
-//     parse what follows?), and a message type (what is it?).
+//     The socket wire protocol.  Peers are separate processes, so every
+//     frame carries the magic (is this even our protocol?), the
+//     protocol version (is this peer the same protocol?), and a message
+//     type (what is it?).  The version is the only compatibility check:
+//     a peer of any other version is refused by the decoder
+//     (Decoder::Status::BadVersion), never negotiated with.
 //
 // Both decoders are incremental and tolerant of torn input: a frame cut
 // short by a dying peer parks the decoder in NeedMore, never in a crash
@@ -40,30 +42,13 @@ inline constexpr char kMagic[4] = {'S', 'T', 'C', 'W'};
 
 /// Protocol version this build speaks.  Bumped on any change to the
 /// header layout, the message-type table, or a payload schema.
-inline constexpr std::uint8_t kProtocolVersion = 1;
-
-/// Protocol *minor* revision, negotiated at the JSON level (Hello /
-/// HelloAck carry "proto_minor"; a peer that omits it is minor 1).
-/// Additions that old peers can safely ignore — new optional payload
-/// fields, new message types that are only sent once both sides have
-/// announced support — bump the minor, not kProtocolVersion.  Minor 2
-/// adds trace-context fields to Hello/Work and the Telemetry frame
-/// (docs/FORMATS.md §11).  Minor 3 batches Telemetry: one frame may
-/// carry many newline-joined JSON payloads (workers coalesce per work
-/// item instead of paying a write() syscall per span, the fix for the
-/// ~17x streaming-telemetry throughput cliff).  Batched frames are
-/// only ever sent to a peer that announced minor >= 3; toward a
-/// minor-2 peer the worker keeps emitting one payload per frame.
-inline constexpr std::uint64_t kProtocolMinor = 3;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 
 /// Fixed header size of a versioned message (magic + version + type +
 /// u32le payload length).
 inline constexpr std::size_t kMessageHeaderSize = 10;
 
-/// Message types of protocol version 1 (docs/FORMATS.md §10).
-/// Telemetry arrived with minor rev 2: it is only ever sent to a peer
-/// that announced "proto_minor" >= 2 in the handshake, because a minor-1
-/// decoder treats type 9 as BadType and poisons the stream.
+/// Message types of protocol version 2 (docs/FORMATS.md §10).
 enum class MessageType : std::uint8_t {
     Hello = 1,      ///< coordinator -> worker: campaign handshake
     HelloAck = 2,   ///< worker -> coordinator: accept / reject
@@ -73,7 +58,7 @@ enum class MessageType : std::uint8_t {
     Pong = 6,       ///< worker -> coordinator: keepalive answer
     Error = 7,      ///< either direction: fatal protocol/handshake error
     Shutdown = 8,   ///< coordinator -> worker: campaign complete, close
-    Telemetry = 9,  ///< worker -> coordinator: streamed obs event (minor 2)
+    Telemetry = 9,  ///< worker -> coordinator: streamed spans and events
 };
 
 /// True for the types above — a received type outside the table is a

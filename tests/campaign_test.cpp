@@ -550,12 +550,6 @@ TEST_F(CampaignTest, FingerprintTracksEveryCampaignInput) {
                       .fingerprint(suite_, mutants_, nullptr));
 }
 
-TEST_F(CampaignTest, SharedLogPathIsRejected) {
-    CampaignOptions options;
-    options.engine.runner.log_path = "/tmp/stc_campaign_shared.log";
-    EXPECT_THROW(CampaignScheduler(registry_, options), ContractError);
-}
-
 TEST_F(CampaignTest, ResumeSkipsEveryFinishedItem) {
     const std::string store = "/tmp/stc_campaign_resume.jsonl";
     std::remove(store.c_str());

@@ -408,6 +408,21 @@ TEST_F(CliTest, FuzzAndShrinkRejectBadInvocations) {
     EXPECT_EQ(run("suite " + tspec_path_ + " --iters 5"), 2);  // fuzz-only flag
 }
 
+TEST_F(CliTest, RunTakesEverySingleClassTargetOfTheRegistry) {
+    // fuzz, run and shrink resolve their component through the campaign
+    // target registry, like kill: the intraclass wallet's generated
+    // suite runs and passes on the clean component.
+    EXPECT_EQ(run("run wallet", "/tmp/stc_cli_run_wallet.out"), 0);
+    EXPECT_NE(slurp("/tmp/stc_cli_run_wallet.out").find("run: Wallet"),
+              std::string::npos);
+}
+
+TEST_F(CliTest, FuzzRejectsAnAssemblyTargetAsKillDoes) {
+    EXPECT_EQ(run("fuzz shop --iters 5", "/tmp/stc_cli_fuzz_shop.out"), 2);
+    EXPECT_NE(slurp("/tmp/stc_cli_fuzz_shop.out").find("single-class"),
+              std::string::npos);
+}
+
 TEST_F(CliTest, ShrinkRejectsAMalformedCorpusEntryNamingTheLine) {
     // A corrupt number or percent escape in a corpus entry is a clean
     // error (exit 1) naming the file's line, not an uncaught exception.

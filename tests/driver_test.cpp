@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -390,6 +388,32 @@ TEST_F(DriverTest, CrashSignalBecomesCrashVerdict) {
     EXPECT_EQ(result.results[0].verdict, Verdict::Crash);
 }
 
+TEST_F(DriverTest, CrashWhileApplyingAnEntryStateIsACrash) {
+    // A simulated crash reads `crash` wherever it strikes: in the
+    // constructor, in the body, and while the entry state is applied.
+    reflect::Binder<Exploder> b("Exploder");
+    b.ctor<>();
+    b.state_setter([](Exploder&, const std::string&) {
+        throw CrashSignal("wild pointer while entering the state");
+    });
+    reflect::Registry registry;
+    registry.add(b.take());
+    TestCase tc;
+    tc.id = "TC0";
+    MethodCall ctor;
+    ctor.method_name = "Exploder";
+    ctor.is_constructor = true;
+    tc.calls.push_back(std::move(ctor));
+    tc.entry_state = "corrupt";
+
+    const TestResult result =
+        TestRunner(registry).run_case(registry.at("Exploder"), tc);
+    EXPECT_EQ(result.verdict, Verdict::Crash);
+    EXPECT_EQ(result.message,
+              CrashSignal("wild pointer while entering the state").what());
+    EXPECT_EQ(result.failed_method, "<set-state:corrupt>");
+}
+
 TEST_F(DriverTest, OtherExceptionsBecomeUncaughtException) {
     const auto registry = exploder_registry();
     const SuiteResult result = TestRunner(registry).run(exploder_suite("Exception"));
@@ -416,27 +440,6 @@ TEST_F(DriverTest, UnknownClassThrows) {
     EXPECT_THROW((void)TestRunner(registry_).run(suite), ReflectError);
 }
 
-TEST_F(DriverTest, InvariantCheckingCanBeDisabled) {
-    // With invariants off, the BrokenCounter-style overflow must surface
-    // through the postcondition instead — prove the option has effect by
-    // counting assertion checks.
-    const TestSuite suite = DriverGenerator(spec_).generate();
-    auto& stats = bit::AssertionStats::instance();
-
-    stats.reset();
-    (void)TestRunner(registry_).run(suite);
-    const auto with_invariants = stats.total_checked();
-
-    stats.reset();
-    RunnerOptions no_inv;
-    no_inv.check_invariants = false;
-    (void)TestRunner(registry_, no_inv).run(suite);
-    const auto without_invariants = stats.total_checked();
-
-    EXPECT_LT(without_invariants, with_invariants);
-    stats.reset();
-}
-
 TEST_F(DriverTest, ObserveEachCallProducesRicherReports) {
     const TestSuite suite = DriverGenerator(spec_).generate();
     RunnerOptions verbose;
@@ -451,29 +454,6 @@ TEST_F(DriverTest, ObserveEachCallProducesRicherReports) {
                       : 0;
     }
     EXPECT_GT(longer, 0u);
-}
-
-TEST_F(DriverTest, LogFileMirrorsTheResultTxtBehaviour) {
-    const TestSuite suite = DriverGenerator(spec_).generate();
-    RunnerOptions options;
-    options.log_path = "/tmp/stc_runner_result.txt";
-    std::remove(options.log_path.c_str());
-
-    const SuiteResult result = TestRunner(registry_, options).run(suite);
-    std::ifstream in(options.log_path);
-    ASSERT_TRUE(in.good());
-    std::stringstream content;
-    content << in.rdbuf();
-    EXPECT_EQ(content.str(), result.log);
-    EXPECT_NE(content.str().find("TestCase TC0 OK!"), std::string::npos);
-
-    // Appending semantics, as in the paper's ios::app drivers.
-    (void)TestRunner(registry_, options).run(suite);
-    std::ifstream again(options.log_path);
-    std::stringstream doubled;
-    doubled << again.rdbuf();
-    EXPECT_EQ(doubled.str().size(), 2 * content.str().size());
-    std::remove(options.log_path.c_str());
 }
 
 TEST(VerdictText, RoundTripsExhaustively) {

@@ -18,6 +18,7 @@
 #include "stc/obs/metrics.h"
 #include "stc/obs/stats.h"
 #include "stc/obs/trace.h"
+#include "stc/serve/span_codec.h"
 #include "stc/support/error.h"
 
 namespace stc::obs {
@@ -561,8 +562,16 @@ TEST(Tracer, TraceEventWireJsonRoundTrips) {
     event.parent_id = 0xfeedULL;
     event.args = JsonObject().set("item", std::uint64_t{7});
 
-    const JsonObject wire = trace_event_to_json(event);
-    const auto back = trace_event_from_json(wire);
+    // The one writer of a streamed span (serve::append_span_line), read
+    // back through the generic path the coordinator falls back to.
+    const auto round_trip = [](const TraceEvent& e) {
+        std::string line;
+        serve::append_span_line(line, e);
+        const auto wire = JsonObject::parse(line);
+        EXPECT_TRUE(wire.has_value()) << line;
+        return wire ? trace_event_from_json(*wire) : std::nullopt;
+    };
+    const auto back = round_trip(event);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->name, event.name);
     EXPECT_EQ(back->category, event.category);
@@ -576,7 +585,7 @@ TEST(Tracer, TraceEventWireJsonRoundTrips) {
 
     // Root spans omit "parent" on the wire and come back as parent 0.
     event.parent_id = 0;
-    const auto root = trace_event_from_json(trace_event_to_json(event));
+    const auto root = round_trip(event);
     ASSERT_TRUE(root.has_value());
     EXPECT_EQ(root->parent_id, 0u);
 

@@ -1,9 +1,9 @@
-// stc::sandbox tests: frame IPC, wait-status decoding, the forked
-// worker pool surviving genuinely hostile jobs (real SIGSEGV, hangs,
-// allocation bombs), and the isolated campaign contracts — fates
-// byte-identical to in-process for benign mutants, real faults
-// contained to one worker, and clean resume after the orchestrator
-// itself is SIGKILLed mid-run.
+// stc::sandbox tests: wait-status decoding, the forked worker pool
+// surviving genuinely hostile jobs (real SIGSEGV, hangs, allocation
+// bombs), and the isolated campaign contracts — fates byte-identical to
+// in-process for benign mutants, real faults contained to one worker,
+// and clean resume after the orchestrator itself is SIGKILLed mid-run.
+// The pipe framing itself is tested with stc::wire (wire_test.cpp).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -25,7 +25,6 @@
 
 #include "stc/campaign/scheduler.h"
 #include "stc/sandbox/codec.h"
-#include "stc/sandbox/ipc.h"
 #include "stc/sandbox/limits.h"
 #include "stc/sandbox/worker_pool.h"
 #include "hostile_component.h"
@@ -47,66 +46,6 @@
 
 namespace stc::sandbox {
 namespace {
-
-// ------------------------------------------------------------------- ipc
-
-std::string raw_frame(const std::string& payload) {
-    const auto n = static_cast<std::uint32_t>(payload.size());
-    std::string out;
-    out.push_back(static_cast<char>(n & 0xffu));
-    out.push_back(static_cast<char>((n >> 8u) & 0xffu));
-    out.push_back(static_cast<char>((n >> 16u) & 0xffu));
-    out.push_back(static_cast<char>((n >> 24u) & 0xffu));
-    out += payload;
-    return out;
-}
-
-TEST(SandboxIpc, FrameRoundTripsThroughAPipe) {
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    const std::string payload = "hello, \x01 hostile \n bytes";
-    ASSERT_TRUE(write_frame(fds[1], payload));
-    ASSERT_TRUE(write_frame(fds[1], ""));  // empty payload is a valid frame
-    EXPECT_EQ(read_frame(fds[0]), payload);
-    EXPECT_EQ(read_frame(fds[0]), "");
-    ::close(fds[1]);
-    EXPECT_FALSE(read_frame(fds[0]).has_value());  // clean EOF
-    ::close(fds[0]);
-}
-
-TEST(SandboxIpc, TornPrefixReadsAsNoFrame) {
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    ASSERT_EQ(::write(fds[1], "\x07\x00", 2), 2);  // half a length prefix
-    ::close(fds[1]);
-    EXPECT_FALSE(read_frame(fds[0]).has_value());
-    ::close(fds[0]);
-}
-
-TEST(SandboxIpc, FrameBufferReassemblesByteByByte) {
-    const std::string wire = raw_frame("first") + raw_frame("") +
-                             raw_frame("second frame");
-    FrameBuffer buffer;
-    std::vector<std::string> frames;
-    for (const char byte : wire) {
-        buffer.feed(&byte, 1);
-        while (auto frame = buffer.take_frame()) frames.push_back(*frame);
-        EXPECT_FALSE(buffer.oversized());
-    }
-    ASSERT_EQ(frames.size(), 3u);
-    EXPECT_EQ(frames[0], "first");
-    EXPECT_EQ(frames[1], "");
-    EXPECT_EQ(frames[2], "second frame");
-    EXPECT_EQ(buffer.pending_bytes(), 0u);
-}
-
-TEST(SandboxIpc, FrameBufferFlagsOversizedPrefixes) {
-    FrameBuffer buffer;
-    const char huge[4] = {'\xff', '\xff', '\xff', '\xff'};  // 4 GiB claim
-    buffer.feed(huge, sizeof huge);
-    EXPECT_TRUE(buffer.oversized());
-    EXPECT_FALSE(buffer.take_frame().has_value());
-}
 
 // --------------------------------------------------- wait-status decode
 

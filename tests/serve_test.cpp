@@ -88,10 +88,15 @@ std::vector<campaign::WorkItem> toy_items(std::size_t n) {
 }
 
 /// One daemon on an ephemeral loopback port, served on its own thread.
+/// `telemetry`, when given, is the daemon's own event sink (called on
+/// the daemon thread).
 struct DaemonHandle {
-    explicit DaemonHandle(SessionFactory factory, bool once = true) {
+    explicit DaemonHandle(
+        SessionFactory factory, bool once = true,
+        std::function<void(const obs::JsonObject&)> telemetry = {}) {
         ServeOptions options;
         options.once = once;
+        options.telemetry = std::move(telemetry);
         daemon = std::make_unique<WorkerDaemon>(std::move(factory),
                                                 std::move(options));
         port = daemon->bind();
@@ -232,8 +237,8 @@ struct RawWorker {
     std::thread thread;
 };
 
-/// Answer the coordinator's Hello as a streaming-capable toy worker
-/// would; false if the peer went away.
+/// Answer the coordinator's Hello as a toy worker would; false if the
+/// peer went away.
 bool accept_hello(int fd, wire::Decoder& decoder) {
     const auto hello = next_message(fd, decoder);
     return hello && hello->type == wire::MessageType::Hello &&
@@ -241,8 +246,16 @@ bool accept_hello(int fd, wire::Decoder& decoder) {
                                obs::JsonObject()
                                    .set("ok", true)
                                    .set("fingerprint", "toy-fp")
-                                   .set("proto_minor", wire::kProtocolMinor)
                                    .to_line());
+}
+
+/// One versioned message as a peer of protocol version `version` would
+/// frame it.
+std::string message_of_version(std::uint8_t version, wire::MessageType type,
+                               const std::string& payload) {
+    std::string bytes = wire::encode_message(type, payload);
+    bytes[4] = static_cast<char>(version);
+    return bytes;
 }
 
 DispatchOptions toy_dispatch(const std::vector<Endpoint>& endpoints) {
@@ -1119,39 +1132,163 @@ TEST(ServeDispatch, TwoWorkerSessionsMergeIntoOneCollisionFreeTrace) {
     EXPECT_EQ(kinds["metrics-snapshot"], 2u);
 }
 
-TEST(ServeWorker, Minor1CoordinatorNegotiatesNoStreaming) {
-    // A coordinator that never announces proto_minor (a minor-1 peer)
-    // must get the legacy behavior: no Telemetry frames on the socket,
-    // ack still carries the worker's minor for newer coordinators.
-    DaemonHandle daemon(toy_factory("toy-fp"));
-    const Fd fd = connect_to(daemon.endpoint());
-    ASSERT_TRUE(
-        wire::write_message(fd.get(), wire::MessageType::Hello,
-                            obs::JsonObject()
-                                .set("component", "toy")
-                                .set("trace", std::string("00000000000000ff"))
-                                .set("telemetry_interval_ms", std::uint64_t{0})
-                                .to_line()));
+TEST(ServeWorker, PeerOfAnotherVersionGetsAnErrorNamingBothVersions) {
+    // The version byte is the one compatibility check: a peer speaking
+    // any other version is refused by the decoder, answered with an
+    // Error frame naming both versions, and the daemon keeps serving.
+    DaemonHandle daemon(toy_factory("toy-fp"), /*once=*/false);
+    {
+        const Fd conn = connect_to(daemon.endpoint());
+        const std::string old_hello = message_of_version(
+            1, wire::MessageType::Hello,
+            obs::JsonObject().set("component", "toy").to_line());
+        ASSERT_TRUE(
+            wire::write_exact(conn.get(), old_hello.data(), old_hello.size()));
+        const auto reply = wire::read_message(conn.get());
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(reply->type, wire::MessageType::Error);
+        const auto payload = obs::JsonObject::parse(reply->payload);
+        ASSERT_TRUE(payload.has_value());
+        const std::string error = payload->get_string("error").value_or("");
+        EXPECT_NE(error.find("bad-version"), std::string::npos) << error;
+        EXPECT_NE(error.find("peer v1"), std::string::npos) << error;
+        EXPECT_NE(error.find("this daemon v" +
+                             std::to_string(wire::kProtocolVersion)),
+                  std::string::npos)
+            << error;
+        // The daemon closed that connection after its Error frame.
+        EXPECT_FALSE(wire::read_message(conn.get()).has_value());
+    }
 
-    wire::Decoder decoder;
-    const auto ack = next_message(fd.get(), decoder);
-    ASSERT_TRUE(ack.has_value());
-    ASSERT_EQ(ack->type, wire::MessageType::HelloAck);
-    const auto payload = obs::JsonObject::parse(ack->payload);
-    ASSERT_TRUE(payload.has_value());
-    EXPECT_EQ(payload->get_uint("proto_minor"),
-              std::optional<std::uint64_t>(wire::kProtocolMinor));
+    // The next coordinator is served as if nothing happened.
+    std::size_t merged = 0;
+    Coordinator coordinator(toy_dispatch({daemon.endpoint()}));
+    const DispatchStats stats = coordinator.run(
+        toy_items(6),
+        [&](const campaign::WorkItem&, const obs::JsonObject&) { ++merged; });
+    EXPECT_EQ(stats.workers_connected, 1u);
+    EXPECT_EQ(stats.disconnects, 0u);
+    EXPECT_EQ(merged, 6u);
+}
 
-    ASSERT_TRUE(wire::write_message(
-        fd.get(), wire::MessageType::Work,
-        obs::JsonObject().set("item", std::uint64_t{0}).set("mutant", "m").to_line()));
-    const auto result = next_message(fd.get(), decoder);
-    ASSERT_TRUE(result.has_value());
-    // Streaming fields were present in the Hello but the peer is
-    // minor 1, so the very next frame is the Result — no Telemetry
-    // frame precedes it (a minor-1 decoder would reject type 9).
-    EXPECT_EQ(result->type, wire::MessageType::Result);
-    ASSERT_TRUE(wire::write_message(fd.get(), wire::MessageType::Shutdown, ""));
+TEST(ServeDispatch, PeerAnsweringInAnotherVersionFailsAndTheSurvivorFinishes) {
+    // Ordinal 0 answers the Hello in protocol version 1: the
+    // coordinator's decoder refuses it, that worker is failed, and the
+    // survivor takes every item.
+    HandshakeGate gate(2);
+    RawWorker old_peer([](int fd) {
+        wire::Decoder decoder;
+        const auto hello = next_message(fd, decoder);
+        if (!hello) return;
+        const std::string ack = message_of_version(
+            1, wire::MessageType::HelloAck,
+            obs::JsonObject().set("ok", true).set("fingerprint", "toy-fp")
+                .to_line());
+        (void)wire::write_exact(fd, ack.data(), ack.size());
+        while (next_message(fd, decoder)) {
+        }
+    });
+    DaemonHandle survivor(gated_factory(gate));
+
+    DispatchOptions options =
+        toy_dispatch({old_peer.endpoint(), survivor.endpoint()});
+    std::vector<obs::JsonObject> events;
+    options.telemetry = [&](const obs::JsonObject& event) {
+        gate.observe(event);
+        events.push_back(event);
+    };
+    std::map<std::size_t, std::uint64_t> merged_by;
+    Coordinator coordinator(std::move(options));
+    const DispatchStats stats = coordinator.run(
+        toy_items(10), [&](const campaign::WorkItem& item,
+                           const obs::JsonObject& result) {
+            merged_by[item.index] = result.get_uint("worker").value_or(9);
+        });
+    old_peer.join();
+
+    EXPECT_EQ(stats.workers_connected, 1u);
+    EXPECT_EQ(stats.disconnects, 1u);
+    EXPECT_EQ(stats.executed, 10u);
+    ASSERT_EQ(merged_by.size(), 10u);
+    for (const auto& [index, worker] : merged_by) {
+        EXPECT_EQ(worker, 1u) << "item " << index;
+    }
+    std::size_t refusals = 0;
+    for (const obs::JsonObject& event : events) {
+        if (event.get_string("event").value_or("") == "worker-disconnect" &&
+            event.get_uint("worker") == std::optional<std::uint64_t>(0)) {
+            EXPECT_NE(event.get_string("reason").value_or("").find(
+                          "bad-version"),
+                      std::string::npos);
+            ++refusals;
+        }
+    }
+    EXPECT_EQ(refusals, 1u);
+}
+
+TEST(ServeDispatch, StreamedEventsNeedingEscapesArriveFieldForField) {
+    // A streamed event travels as its own §5 line inside a Telemetry
+    // frame.  Strings that JSON must escape — a quote, a backslash, a
+    // newline, non-ASCII — must reach the coordinator's sink equal,
+    // field for field, to the daemon's own copy of the event.
+    std::vector<campaign::WorkItem> items = toy_items(3);
+    items[0].mutant_id = "quote\" backslash\\ newline\n end";
+    items[1].mutant_id = "caf\xc3\xa9 \xe2\x82\xac \xe6\xbc\xa2";
+    items[2].mutant_id = "tab\t\x01 control";
+    for (campaign::WorkItem& item : items) {
+        item.key = campaign::item_key("toy-fp", item.mutant_id);
+    }
+
+    std::mutex mutex;
+    std::vector<obs::JsonObject> daemon_events;
+    std::vector<obs::JsonObject> coordinator_events;
+    {
+        DaemonHandle daemon(toy_factory("toy-fp"), /*once=*/true,
+                            [&](const obs::JsonObject& event) {
+                                const std::lock_guard<std::mutex> lock(mutex);
+                                daemon_events.push_back(event);
+                            });
+        DispatchOptions options = toy_dispatch({daemon.endpoint()});
+        options.stream_telemetry = true;
+        options.telemetry_interval_ms = 0;
+        options.telemetry = [&](const obs::JsonObject& event) {
+            coordinator_events.push_back(event);
+        };
+        Coordinator coordinator(std::move(options));
+        const DispatchStats stats = coordinator.run(
+            items, [](const campaign::WorkItem&, const obs::JsonObject&) {});
+        EXPECT_EQ(stats.executed, items.size());
+    }  // joins the daemon thread
+
+    const std::set<std::string> streamed = {
+        "worker-session", "item-finish", "worker-session-end",
+        "metrics-snapshot"};
+    const auto only_streamed = [&](const std::vector<obs::JsonObject>& all) {
+        std::vector<obs::JsonObject> out;
+        for (const obs::JsonObject& event : all) {
+            if (streamed.count(event.get_string("event").value_or(""))) {
+                out.push_back(event);
+            }
+        }
+        return out;
+    };
+    const std::vector<obs::JsonObject> sent = only_streamed(daemon_events);
+    const std::vector<obs::JsonObject> received =
+        only_streamed(coordinator_events);
+    ASSERT_EQ(received.size(), sent.size());
+    std::set<std::string> mutants;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        EXPECT_EQ(received[i].fields(), sent[i].fields())
+            << "daemon:      " << sent[i].to_line() << "\n"
+            << "coordinator: " << received[i].to_line();
+        if (received[i].get_string("event") ==
+            std::optional<std::string>("item-finish")) {
+            mutants.insert(received[i].get_string("mutant").value_or(""));
+        }
+    }
+    EXPECT_EQ(mutants, (std::set<std::string>{items[0].mutant_id,
+                                              items[1].mutant_id,
+                                              items[2].mutant_id}));
 }
 
 // --- Streamed-span codec ---------------------------------------------------
@@ -1254,6 +1391,8 @@ TEST(SpanCodec, EscapedNameFallsBackToGenericParse) {
 
 TEST(SpanCodec, RejectsNonCanonicalLines) {
     EXPECT_FALSE(is_span_line(R"({"kind":"event","data":"{}"})"));
+    // An event line of the same Telemetry frame is never a span line.
+    EXPECT_FALSE(is_span_line(R"({"event":"worker-session","worker":0})"));
     // Same JSON value, different field order: generic-path territory.
     EXPECT_FALSE(is_span_line(
         R"({"name":"x","cat":"phase","kind":"span","ts":0})"));

@@ -7,6 +7,8 @@
 // behind.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <string>
 #include <vector>
 
@@ -204,6 +206,59 @@ TEST(WireMessage, StatusNamesExist) {
 }
 
 // ------------------------------------------------------------ raw frames
+
+std::string raw_frame(const std::string& payload) {
+    unsigned char length[4];
+    encode_u32le(static_cast<std::uint32_t>(payload.size()), length);
+    return std::string(reinterpret_cast<const char*>(length), 4) + payload;
+}
+
+TEST(WireRawFrame, FrameRoundTripsThroughAPipe) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const std::string payload = "hello, \x01 hostile \n bytes";
+    ASSERT_TRUE(write_raw_frame(fds[1], payload));
+    ASSERT_TRUE(write_raw_frame(fds[1], ""));  // empty payload is a valid frame
+    EXPECT_EQ(read_raw_frame(fds[0]), payload);
+    EXPECT_EQ(read_raw_frame(fds[0]), "");
+    ::close(fds[1]);
+    EXPECT_FALSE(read_raw_frame(fds[0]).has_value());  // clean EOF
+    ::close(fds[0]);
+}
+
+TEST(WireRawFrame, TornPrefixReadsAsNoFrame) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::write(fds[1], "\x07\x00", 2), 2);  // half a length prefix
+    ::close(fds[1]);
+    EXPECT_FALSE(read_raw_frame(fds[0]).has_value());
+    ::close(fds[0]);
+}
+
+TEST(WireRawFrame, FrameBufferReassemblesByteByByte) {
+    const std::string bytes = raw_frame("first") + raw_frame("") +
+                              raw_frame("second frame");
+    RawFrameBuffer buffer;
+    std::vector<std::string> frames;
+    for (const char byte : bytes) {
+        buffer.feed(&byte, 1);
+        while (auto frame = buffer.take_frame()) frames.push_back(*frame);
+        EXPECT_FALSE(buffer.oversized());
+    }
+    ASSERT_EQ(frames.size(), 3u);
+    EXPECT_EQ(frames[0], "first");
+    EXPECT_EQ(frames[1], "");
+    EXPECT_EQ(frames[2], "second frame");
+    EXPECT_EQ(buffer.pending_bytes(), 0u);
+}
+
+TEST(WireRawFrame, FrameBufferFlagsOversizedPrefixes) {
+    RawFrameBuffer buffer;
+    const char huge[4] = {'\xff', '\xff', '\xff', '\xff'};  // 4 GiB claim
+    buffer.feed(huge, sizeof huge);
+    EXPECT_TRUE(buffer.oversized());
+    EXPECT_FALSE(buffer.take_frame().has_value());
+}
 
 TEST(WireRawFrame, IncrementalBufferReassemblesSplitFrames) {
     unsigned char length[4];

@@ -52,7 +52,6 @@
 #include "stc/fuzz/shrink.h"
 #include "stc/history/version_diff.h"
 #include "stc/kill/kill.h"
-#include "stc/mfc/component.h"
 #include "stc/model/model.h"
 #include "stc/mutation/controller.h"
 #include "stc/mutation/report.h"
@@ -107,17 +106,17 @@ int usage(std::ostream& os) {
           "                 [--jobs N] [--seed N] [--cases N] [--probe]\n"
           "                 [--corpus DIR] [--max-shrink-steps N]\n"
           "                 [--no-prune] [--telemetry-out FILE] [-o REPORT]\n"
-          "  fuzz           coverage-guided transaction fuzzing of a built-in\n"
-          "                 component:\n"
-          "                 concat fuzz <coblist|sortable> [--iters N] [--seed N]\n"
+          "  fuzz           coverage-guided transaction fuzzing of a registered\n"
+          "                 single-class component (coblist, sortable, wallet):\n"
+          "                 concat fuzz <component> [--iters N] [--seed N]\n"
           "                 [--corpus DIR] [--mutant ID] [--max-shrink-steps N]\n"
           "                 [--isolate [--timeout-ms N] [--rlimit-as MB]]\n"
           "                 [--model] [--telemetry-out FILE] [-o REPORT]\n"
           "  run            execute the generated suite once and report verdicts:\n"
-          "                 concat run <coblist|sortable> [--seed N] [--cases N]\n"
+          "                 concat run <component> [--seed N] [--cases N]\n"
           "                 [--mutant ID] [--model] [-o REPORT]\n"
           "  shrink         re-shrink / verify one corpus entry:\n"
-          "                 concat shrink <coblist|sortable> --case FILE\n"
+          "                 concat shrink <component> --case FILE\n"
           "                 [--mutant ID] [--max-shrink-steps N] [--corpus DIR]\n"
           "  serve          campaign worker daemon (docs/FORMATS.md §10):\n"
           "                 concat serve [--listen PORT] [--bind ADDR]\n"
@@ -962,6 +961,31 @@ int cmd_campaign(const Options& options) {
     return emit(options, report.str());
 }
 
+/// The single-class target named on the command line — the targets
+/// `concat kill`, `fuzz`, `run` and `shrink` accept — or nullptr after
+/// a usage message.  Each of them pairs one class's TFM with its
+/// mutants (and, for kill, its reference model); an assembly product
+/// has neither, so an assembly target is rejected naming `activity`.
+const serve::BuiltinTarget* single_class_target(const std::string& command,
+                                                const char* activity,
+                                                const std::string& which) {
+    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
+    if (target == nullptr) {
+        std::cerr << "concat " << command << ": unknown component '" << which
+                  << "' (expected one of: "
+                  << support::join(serve::builtin_target_names(), ", ")
+                  << ")\n";
+        return nullptr;
+    }
+    if (target->assembly) {
+        std::cerr << "concat " << command << ": '" << which
+                  << "' is an assembly product; " << activity
+                  << " runs on single-class components only\n";
+        return nullptr;
+    }
+    return target;
+}
+
 // `concat kill <component> --alive --resume FILE`: synthesize killers
 // for the surviving mutants of a finished campaign (stc::kill).  The
 // store is matched against the re-derived campaign fingerprint — the
@@ -971,23 +995,9 @@ int cmd_campaign(const Options& options) {
 // (component, store, seed, budget): byte-identical across --jobs.
 int cmd_kill(const Options& options) {
     const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target == nullptr) {
-        std::cerr << "concat kill: unknown component '" << which
-                  << "' (expected one of: "
-                  << support::join(serve::builtin_target_names(), ", ")
-                  << ")\n";
-        return 2;
-    }
-    // Killer synthesis pairs one class's TFM with one reference model;
-    // an assembly product has neither, so both directions of the
-    // campaign/dispatch --assembly gating collapse to a rejection here.
-    if (target->assembly) {
-        std::cerr << "concat kill: '" << which
-                  << "' is an assembly product; killer synthesis runs on "
-                     "single-class components only\n";
-        return 2;
-    }
+    const serve::BuiltinTarget* target =
+        single_class_target("kill", "killer synthesis", which);
+    if (target == nullptr) return 2;
     if (options.assembly) {
         std::cerr << "concat kill: '" << which
                   << "' is a single-class component; drop --assembly\n";
@@ -1100,24 +1110,6 @@ int cmd_kill(const Options& options) {
     return emit(options, report.str());
 }
 
-/// Shared by fuzz/shrink: the built-in component named on the command
-/// line, or std::nullopt (+ usage message) for anything else.  The
-/// caller owns `pool`; it must outlive the returned component's
-/// completions.
-std::optional<core::SelfTestableComponent> make_builtin(
-    const std::string& command, const std::string& which) {
-    if (which != "coblist" && which != "sortable") {
-        std::cerr << "concat " << command << ": unknown component '" << which
-                  << "' (expected coblist or sortable)\n";
-        return std::nullopt;
-    }
-    return which == "coblist"
-               ? core::SelfTestableComponent(mfc::coblist_spec(),
-                                             mfc::coblist_binding())
-               : core::SelfTestableComponent(mfc::sortable_spec(),
-                                             mfc::sortable_binding());
-}
-
 /// Resolve --mutant against the enumerated mutants of `class_name`.
 /// Returns nullptr when id is empty; exits via nullopt on unknown ids so
 /// a typo cannot silently fuzz the pristine component.
@@ -1132,22 +1124,23 @@ std::optional<const mutation::Mutant*> resolve_mutant(
     return std::nullopt;
 }
 
-// `concat fuzz <coblist|sortable>`: coverage-guided fuzzing of a
-// built-in component (optionally with one mutant active, for seeded
+// `concat fuzz <component>`: coverage-guided fuzzing of a registered
+// single-class component (optionally with one mutant active, for seeded
 // faults).  Findings are minimized by the shrinker and — with --corpus —
 // persisted as replayable reproducers.  The stdout report is a pure
 // function of (component, seed, iters, mutant): corpus filenames are
 // printed without their directory so two same-seed runs into different
 // corpus directories still byte-match (the CI seed-stability gate).
 int cmd_fuzz(const Options& options) {
-    mfc::ElementPool pool;
-    auto component = make_builtin("fuzz", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
+    const serve::BuiltinTarget* target =
+        single_class_target("fuzz", "fuzzing", options.tspec_path);
+    if (target == nullptr) return 2;
+    const serve::BuiltinComponent holder = target->make_component();
+    const core::SelfTestableComponent& component = *holder.component;
+    const driver::CompletionRegistry* completions = holder.completions;
+    const std::string& class_name = component.spec().class_name;
 
-    const auto mutants = mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    const auto mutants = target->mutants();
     const auto mutant =
         resolve_mutant("fuzz", mutants, options.mutant_id.value_or(""));
     if (!mutant) return 2;
@@ -1165,8 +1158,8 @@ int cmd_fuzz(const Options& options) {
         runner_options.model = *model_binding;
         runner_options.promote_divergence = true;
     }
-    const driver::TestRunner runner(component->registry(), runner_options);
-    const reflect::ClassBinding& binding = component->registry().at(class_name);
+    const driver::TestRunner runner(component.registry(), runner_options);
+    const reflect::ClassBinding& binding = component.registry().at(class_name);
 
     const auto run_in_process =
         [&](const driver::TestCase& tc) -> driver::TestResult {
@@ -1190,7 +1183,9 @@ int cmd_fuzz(const Options& options) {
         const sandbox::Job job = [&](const std::string& payload) -> std::string {
             std::istringstream in(payload);
             driver::TestSuite one = driver::load_suite(in);
-            driver::recomplete_suite(one, completions, one.seed);
+            if (completions != nullptr) {
+                driver::recomplete_suite(one, *completions, one.seed);
+            }
             if (one.cases.empty()) throw Error("sandbox: empty case payload");
             return sandbox::encode_result(run_in_process(one.cases.front()));
         };
@@ -1235,8 +1230,8 @@ int cmd_fuzz(const Options& options) {
     fuzz_options.mutant_id = options.mutant_id.value_or("");
     fuzz_options.obs = options.obs;
 
-    fuzz::Fuzzer fuzzer(component->spec(), fuzz_options);
-    fuzzer.completions(&completions).case_runner(case_runner);
+    fuzz::Fuzzer fuzzer(component.spec(), fuzz_options);
+    fuzzer.completions(completions).case_runner(case_runner);
     const fuzz::FuzzResult result = fuzzer.run();
 
     // Persist reproducers before rendering so the report can carry each
@@ -1254,7 +1249,7 @@ int cmd_fuzz(const Options& options) {
             const auto outcome =
                 fuzz::persist_entry(*options.corpus_dir,
                                     finding.to_corpus_entry(class_name),
-                                    &completions, case_runner, entry_seed);
+                                    completions, case_runner, entry_seed);
             if (outcome.reproducible) {
                 const auto slash = outcome.path.find_last_of('/');
                 line << "  -> "
@@ -1345,8 +1340,9 @@ int cmd_fuzz(const Options& options) {
     return rc != 0 ? rc : emit_rc;
 }
 
-// `concat run <coblist|sortable>`: one plain execution of the generated
-// suite — the smallest way to watch the component behave.  With
+// `concat run <component>`: one plain execution of the generated suite
+// of a registered single-class component — the smallest way to watch
+// the component behave.  With
 // --mutant the run happens under that seeded fault; with --model the
 // lockstep reference model runs alongside and a divergence on an
 // otherwise-passing case is promoted to a model-divergence verdict with
@@ -1354,15 +1350,14 @@ int cmd_fuzz(const Options& options) {
 // passed, so `concat run <c> --model` doubles as a conformance gate and
 // `concat run <c> --mutant M --model` as a single-mutant demonstrator.
 int cmd_run(const Options& options) {
-    mfc::ElementPool pool;
-    auto component = make_builtin("run", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
+    const serve::BuiltinTarget* target =
+        single_class_target("run", "a suite run", options.tspec_path);
+    if (target == nullptr) return 2;
+    const serve::BuiltinComponent holder = target->make_component();
+    const core::SelfTestableComponent& component = *holder.component;
+    const std::string& class_name = component.spec().class_name;
 
-    const auto mutants =
-        mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    const auto mutants = target->mutants();
     const auto mutant =
         resolve_mutant("run", mutants, options.mutant_id.value_or(""));
     if (!mutant) return 2;
@@ -1375,9 +1370,9 @@ int cmd_run(const Options& options) {
         runner_options.model = *model_binding;
         runner_options.promote_divergence = true;
     }
-    const driver::TestRunner runner(component->registry(), runner_options);
+    const driver::TestRunner runner(component.registry(), runner_options);
 
-    const driver::TestSuite suite = component->generate_tests(options.generator);
+    const driver::TestSuite suite = component.generate_tests(options.generator);
     driver::SuiteResult result;
     if (*mutant) {
         const mutation::MutantActivation active(**mutant);
@@ -1416,7 +1411,7 @@ int cmd_run(const Options& options) {
     return emit_rc;
 }
 
-// `concat shrink <coblist|sortable> --case FILE`: reload one corpus
+// `concat shrink <component> --case FILE`: reload one corpus
 // entry, verify it still replays to its recorded verdict, re-shrink it
 // under the given budget, and write the minimized entry back (--corpus
 // DIR for the canonical filename, else -o/stdout).  Exit 1 when the
@@ -1426,12 +1421,13 @@ int cmd_shrink(const Options& options) {
         std::cerr << "concat shrink: --case is required\n";
         return 2;
     }
-    mfc::ElementPool pool;
-    auto component = make_builtin("shrink", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
+    const serve::BuiltinTarget* target =
+        single_class_target("shrink", "shrinking", options.tspec_path);
+    if (target == nullptr) return 2;
+    const serve::BuiltinComponent holder = target->make_component();
+    const core::SelfTestableComponent& component = *holder.component;
+    const driver::CompletionRegistry* completions = holder.completions;
+    const std::string& class_name = component.spec().class_name;
 
     fuzz::CorpusEntry entry = fuzz::load_entry_file(*options.case_path);
     if (entry.suite.class_name != class_name) {
@@ -1444,16 +1440,18 @@ int cmd_shrink(const Options& options) {
     // --mutant overrides the recorded mutant (e.g. replaying a component
     // fault under a candidate fix's mutant id).
     const std::string mutant_id = options.mutant_id.value_or(entry.mutant_id);
-    const auto mutants = mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    const auto mutants = target->mutants();
     const auto mutant = resolve_mutant("shrink", mutants, mutant_id);
     if (!mutant) return 2;
 
-    driver::recomplete_suite(entry.suite, completions, entry.suite.seed);
+    if (completions != nullptr) {
+        driver::recomplete_suite(entry.suite, *completions, entry.suite.seed);
+    }
 
     driver::RunnerOptions runner_options;
     runner_options.obs = options.obs;
-    const driver::TestRunner runner(component->registry(), runner_options);
-    const reflect::ClassBinding& binding = component->registry().at(class_name);
+    const driver::TestRunner runner(component.registry(), runner_options);
+    const reflect::ClassBinding& binding = component.registry().at(class_name);
     const fuzz::CaseRunner case_runner =
         [&](const driver::TestCase& tc) -> driver::TestResult {
         if (*mutant) {
@@ -1472,7 +1470,7 @@ int cmd_shrink(const Options& options) {
         return 1;
     }
 
-    const tfm::Graph graph = component->spec().build_tfm();
+    const tfm::Graph graph = component.spec().build_tfm();
     fuzz::ShrinkOptions shrink_options;
     shrink_options.max_steps = options.max_shrink_steps;
     shrink_options.obs = options.obs;
@@ -1480,7 +1478,7 @@ int cmd_shrink(const Options& options) {
         return case_runner(tc).verdict == entry.verdict;
     };
     const fuzz::ShrinkResult shrunk = fuzz::shrink_case(
-        component->spec(), graph, entry.reproducer(), still_fails, shrink_options);
+        component.spec(), graph, entry.reproducer(), still_fails, shrink_options);
 
     std::cerr << "shrink: " << class_name << "  "
               << entry.reproducer().calls.size() << " -> "
@@ -1492,7 +1490,7 @@ int cmd_shrink(const Options& options) {
     minimized.suite.cases = {shrunk.minimized};
     if (options.corpus_dir) {
         const auto outcome =
-            fuzz::persist_entry(*options.corpus_dir, minimized, &completions,
+            fuzz::persist_entry(*options.corpus_dir, minimized, completions,
                                 case_runner, entry.suite.seed);
         if (!outcome.reproducible) {
             std::cerr << "concat shrink: minimized entry did not replay after "
