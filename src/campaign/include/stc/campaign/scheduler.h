@@ -56,13 +56,13 @@ struct CampaignOptions {
     /// set, must be thread-safe.  Its obs context is overwritten with
     /// the campaign-level `obs`.
     mutation::EngineOptions engine;
-    /// When non-empty, every mutant KILLED in this run has its killing
-    /// test case located, minimized with the delta-debugging shrinker
-    /// (stc::fuzz, preserving the oracle's kill classification), and
-    /// persisted into this corpus directory as a replayable reproducer.
-    /// Requires `spec`.  Deterministic per item: the corpus contents do
-    /// not depend on --jobs.  Resumed items are skipped (the original
-    /// run already saved theirs).
+    /// When non-empty, every mutant KILLED in this run has its first
+    /// killing test case (in suite order) shrunk and persisted into this
+    /// corpus directory by reproduce_killer (reproducer.h), the routine
+    /// `concat kill` uses: a kill that passes under its mutant leaves no
+    /// entry.  Requires `spec`.  Deterministic per item: the corpus
+    /// contents do not depend on --jobs.  Resumed items are skipped (the
+    /// original run already saved theirs).
     std::string shrink_corpus_dir;
     /// Shrink budget per killed mutant, in predicate evaluations (each
     /// costs a mutated + an unmutated execution of the candidate).

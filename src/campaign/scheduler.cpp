@@ -3,10 +3,9 @@
 #include <chrono>
 #include <optional>
 
+#include "stc/campaign/reproducer.h"
 #include "stc/campaign/session.h"
 #include "stc/campaign/thread_pool.h"
-#include "stc/fuzz/fuzzer.h"
-#include "stc/fuzz/shrink.h"
 #include "stc/mutation/controller.h"
 #include "stc/sandbox/codec.h"
 #include "stc/sandbox/worker_pool.h"
@@ -22,76 +21,39 @@ double ms_since(Clock::time_point start) {
     return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Locate, shrink and persist the killing case of a KILLED mutant.
-/// Everything here is a pure function of (mutant, suite, spec,
-/// item_seed) — no RNG, no shared mutable state — so the corpus is
-/// byte-identical at any --jobs.  True when a replayable reproducer was
-/// persisted.
-bool shrink_kill(const Session& session, const CampaignOptions& options,
-                 const tfm::Graph& graph, const WorkItem& item) {
-    const mutation::Mutant& mutant = session.mutants()[item.index];
-    const driver::TestRunner& runner = session.runner();
-    const reflect::ClassBinding& binding = session.binding();
-    const mutation::EngineOptions& engine = session.engine();
-    const auto run_mutated = [&](const driver::TestCase& tc) {
-        const mutation::MutantActivation activation(mutant);
-        return runner.run_case(binding, tc);
-    };
-    // The shrink predicate preserves the oracle's classification, not
-    // just the verdict: a candidate counts only if the mutated run still
-    // differs from its own unmutated baseline for the same reason (so
-    // OutputDiff kills shrink correctly even though both runs Pass).
-    const auto classify_candidate =
-        [&](const driver::TestCase& tc) -> oracle::KillReason {
-        const driver::TestResult baseline = runner.run_case(binding, tc);
-        oracle::GoldenEntry entry;
-        entry.case_id = baseline.case_id;
-        entry.verdict = baseline.verdict;
-        entry.report = baseline.report;
-        entry.message = baseline.message;
-        return oracle::classify(entry, run_mutated(tc), engine.oracle,
-                                engine.manual_oracle);
-    };
+/// --shrink-corpus: the TFM kills shrink on, and the killer routine's
+/// options over the session's runner and oracle.
+struct ShrinkCorpus {
+    tfm::Graph graph;
+    ReproducerOptions reproducer;
+};
 
-    // Locate the killing case: first kill in suite order.
-    const driver::TestSuite& suite = session.suite();
-    const driver::TestCase* killing = nullptr;
-    oracle::KillReason reason = oracle::KillReason::None;
-    for (const driver::TestCase& tc : suite.cases) {
+/// Persist a KILLED mutant's reproducer: its first killing case in
+/// suite order, shrunk and persisted by reproduce_killer.  A pure
+/// function of (mutant, suite, spec, item_seed) — no RNG, no shared
+/// mutable state — so the corpus is byte-identical at any --jobs.  True
+/// when a reproducer was persisted.
+bool persist_kill(const Session& session, const ShrinkCorpus& shrink,
+                  const WorkItem& item) {
+    const mutation::Mutant& mutant = session.mutants()[item.index];
+    const mutation::EngineOptions& engine = session.engine();
+    for (const driver::TestCase& tc : session.suite().cases) {
         const oracle::GoldenEntry* golden_entry = session.golden().find(tc.id);
         if (golden_entry == nullptr) continue;
-        reason = oracle::classify(*golden_entry, run_mutated(tc), engine.oracle,
-                                  engine.manual_oracle);
+        driver::TestResult observed;
+        {
+            const mutation::MutantActivation activation(mutant);
+            observed = session.runner().run_case(session.binding(), tc);
+        }
+        const oracle::KillReason reason = oracle::classify(
+            *golden_entry, observed, engine.oracle, engine.manual_oracle);
         if (reason != oracle::KillReason::None) {
-            killing = &tc;
-            break;
+            return !reproduce_killer(shrink.reproducer, shrink.graph, mutant,
+                                     tc, reason, item.item_seed)
+                        .path.empty();
         }
     }
-    if (killing == nullptr) return false;  // no single case reproduces it
-
-    fuzz::ShrinkOptions shrink_options;
-    shrink_options.max_steps = options.max_shrink_steps;
-    shrink_options.obs = options.obs;
-    const oracle::KillReason target = reason;
-    const fuzz::ShrinkResult shrunk = fuzz::shrink_case(
-        *options.spec, graph, *killing,
-        [&](const driver::TestCase& tc) { return classify_candidate(tc) == target; },
-        shrink_options);
-
-    fuzz::CorpusEntry entry;
-    entry.suite.class_name = suite.class_name;
-    entry.suite.model_nodes = suite.model_nodes;
-    entry.suite.model_links = suite.model_links;
-    entry.suite.cases.push_back(shrunk.minimized);
-    const driver::TestResult observed = run_mutated(shrunk.minimized);
-    entry.verdict = observed.verdict;
-    entry.failed_method = observed.failed_method;
-    entry.mutant_id = mutant.id();
-    entry.kill_reason = oracle::to_string(target);
-    const fuzz::PersistOutcome persisted =
-        fuzz::persist_entry(options.shrink_corpus_dir, entry, options.completions,
-                            run_mutated, item.item_seed);
-    return persisted.reproducible;
+    return false;  // no single case reproduces it
 }
 
 /// The in-process executor: each pending item evaluates on some pool
@@ -99,7 +61,7 @@ bool shrink_kill(const Session& session, const CampaignOptions& options,
 std::uint64_t run_pool(const Session& session, Ledger& ledger,
                        const std::vector<WorkItem>& pending, std::size_t jobs,
                        const CampaignOptions& options, TelemetrySink& trace,
-                       const tfm::Graph* shrink_graph) {
+                       const ShrinkCorpus* shrink) {
     std::vector<WorkStealingPool::Task> tasks;
     tasks.reserve(pending.size());
     for (const WorkItem& item : pending) {
@@ -126,9 +88,9 @@ std::uint64_t run_pool(const Session& session, Ledger& ledger,
             mutation::PruneStats stats;
             const mutation::MutantOutcome outcome =
                 session.evaluate(item->index, &stats);
-            const bool shrunk = shrink_graph != nullptr &&
+            const bool shrunk = shrink != nullptr &&
                                 outcome.fate == mutation::MutantFate::Killed &&
-                                shrink_kill(session, options, *shrink_graph, *item);
+                                persist_kill(session, *shrink, *item);
             ledger.finish(*item, outcome, context.worker, ms_since(item_start),
                           stats, shrunk);
         });
@@ -263,15 +225,26 @@ CampaignResult CampaignScheduler::run(
                   [&trace](const JsonObject& event) { trace.emit(event); });
     const std::vector<WorkItem> pending = ledger.start(jobs);
 
-    std::optional<tfm::Graph> shrink_graph;
-    if (shrink_kills) shrink_graph.emplace(options_.spec->build_tfm());
+    std::optional<ShrinkCorpus> shrink;
+    if (shrink_kills) {
+        ReproducerOptions& r =
+            shrink.emplace(ShrinkCorpus{options_.spec->build_tfm(), {}}).reproducer;
+        r.spec = options_.spec;
+        r.registry = &bindings_;
+        r.completions = options_.completions;
+        r.runner = session.engine().runner;
+        r.oracle = session.engine().oracle;
+        r.corpus_dir = options_.shrink_corpus_dir;
+        r.max_shrink_steps = options_.max_shrink_steps;
+        r.obs = options_.obs;
+    }
 
     const auto t0 = Clock::now();
     const std::uint64_t executor_count =
         options_.isolate
             ? run_sandbox(session, ledger, pending, jobs, options_, trace)
             : run_pool(session, ledger, pending, jobs, options_, trace,
-                       shrink_graph ? &*shrink_graph : nullptr);
+                       shrink ? &*shrink : nullptr);
     CampaignResult out = ledger.end(jobs, executor_count, ms_since(t0));
     tracer.end(std::move(campaign_span));
     return out;

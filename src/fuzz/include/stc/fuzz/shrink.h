@@ -3,8 +3,9 @@
 // A fuzz finding is rarely minimal: the mutated transaction that tripped
 // an assertion usually carries method calls and argument magnitudes that
 // have nothing to do with the fault.  shrink_case reduces a failing test
-// case in two phases while preserving the failure (caller-supplied
-// predicate):
+// case in two passes while preserving the failure (caller-supplied
+// predicate), alternating them until neither changes the case, so
+// re-shrinking a result is a no-op:
 //
 //   1. Sequence minimization — ddmin (Zeller & Hildebrandt) over the
 //      *interior* nodes of the transaction path.  Birth and death stay

@@ -7,11 +7,11 @@
 // (search.h) hunts for a transaction that traverses the mutated site
 // and then diverges observably; a candidate only counts after it has
 // been executed against the real mutant and killed it.  Verified
-// killers are ddmin-shrunk with stc::fuzz's shrinker (the predicate
-// demands the SAME kill classification, not just any failure),
-// content-hashed into the regression corpus, and folded back into the
-// store records (fate killed, synthesized flag) so `concat campaign
-// --resume` and `concat stats` reflect the raised score.
+// killers are shrunk and persisted by campaign::reproduce_killer (the
+// predicate demands the SAME kill classification, not just any
+// failure), content-hashed into the regression corpus, and folded back
+// into the store records (fate killed, synthesized flag) so `concat
+// campaign --resume` and `concat stats` reflect the raised score.
 //
 // Determinism: per-mutant searches are independent and internally
 // sequential; --jobs only distributes mutants across the threads of

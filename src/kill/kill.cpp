@@ -4,11 +4,9 @@
 #include <ostream>
 #include <utility>
 
+#include "stc/campaign/reproducer.h"
 #include "stc/campaign/seed.h"
 #include "stc/campaign/thread_pool.h"
-#include "stc/fuzz/corpus.h"
-#include "stc/fuzz/fuzzer.h"
-#include "stc/mutation/controller.h"
 #include "stc/support/error.h"
 #include "stc/support/strings.h"
 
@@ -26,99 +24,6 @@ double score_of(std::size_t killed, std::size_t total,
 std::string basename_of(const std::string& path) {
     const std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-driver::TestSuite single_case_suite(const std::string& class_name,
-                                    std::uint64_t seed,
-                                    const driver::TestCase& tc) {
-    driver::TestSuite suite;
-    suite.class_name = class_name;
-    suite.seed = seed;
-    suite.cases.push_back(tc);
-    return suite;
-}
-
-/// Shrink a verified killer while preserving its exact classification:
-/// a candidate still counts only when the clean leg passes AND the
-/// mutated leg is killed for the SAME reason (a killer must not drift
-/// from, say, an assertion kill to an output diff while shrinking —
-/// the corpus records the reason).
-fuzz::ShrinkResult shrink_killer(const KillContext& context,
-                                 const KillOptions& options,
-                                 const tfm::Graph& graph,
-                                 const mutation::Mutant& mutant,
-                                 const driver::TestCase& killer,
-                                 oracle::KillReason reason) {
-    driver::RunnerOptions ro = options.search.runner;
-    ro.promote_divergence = false;
-    ro.observer = nullptr;
-    const driver::TestRunner runner(*context.registry, ro);
-    const std::string& class_name = context.spec->class_name;
-
-    const fuzz::Predicate still_kills = [&](const driver::TestCase& tc) {
-        const driver::TestSuite suite =
-            single_case_suite(class_name, options.seed, tc);
-        const driver::SuiteResult clean = runner.run(suite);
-        for (const driver::TestResult& r : clean.results) {
-            if (!r.passed()) return false;
-        }
-        const oracle::GoldenRecord golden = oracle::GoldenRecord::from(clean);
-        driver::SuiteResult mutated;
-        {
-            const mutation::MutantActivation activation(mutant);
-            mutated = runner.run(suite);
-        }
-        const oracle::DifferentialKill diff = oracle::classify_suite_differential(
-            golden, mutated, options.search.oracle, {}, options.obs);
-        return diff.with_model == reason;
-    };
-
-    fuzz::ShrinkOptions shrink_options;
-    shrink_options.max_steps = options.max_shrink_steps;
-    shrink_options.obs = options.obs;
-    return fuzz::shrink_case(*context.spec, graph, killer, still_kills,
-                             shrink_options);
-}
-
-/// Persist the shrunk killer into the regression corpus.  The recorded
-/// verdict is whatever the replay environment observes (mutant active,
-/// divergence promoted), and persist_entry refuses entries whose
-/// serialized form does not replay — so a checked-in killer is a real
-/// regression test, not a transcript.  Returns the corpus basename, or
-/// "" when the kill is not corpus-replayable (e.g. pure output-diff
-/// kills, which pass in isolation).
-std::string persist_killer(const KillContext& context,
-                           const KillOptions& options,
-                           const mutation::Mutant& mutant,
-                           const KillItem& item) {
-    const reflect::ClassBinding* binding =
-        context.registry->find(context.spec->class_name);
-    if (binding == nullptr) return "";
-
-    driver::RunnerOptions ro = options.search.runner;
-    ro.promote_divergence = true;  // divergence kills must fail on replay
-    ro.observer = nullptr;
-    const driver::TestRunner runner(*context.registry, ro);
-    const fuzz::CaseRunner case_runner = [&](const driver::TestCase& tc) {
-        const mutation::MutantActivation activation(mutant);
-        return runner.run_case(*binding, tc);
-    };
-
-    const driver::TestResult observed = case_runner(item.killer);
-    if (observed.passed()) return "";
-
-    fuzz::CorpusEntry entry;
-    entry.suite.class_name = context.spec->class_name;
-    entry.suite.cases.push_back(item.killer);
-    entry.verdict = observed.verdict;
-    entry.failed_method = observed.failed_method;
-    entry.mutant_id = item.mutant_id;
-    entry.kill_reason = oracle::to_string(item.reason);
-    const std::uint64_t entry_seed =
-        campaign::derive_item_seed(options.seed, item.mutant_id, "kill-corpus");
-    const fuzz::PersistOutcome persisted = fuzz::persist_entry(
-        options.corpus_dir, entry, context.completions, case_runner, entry_seed);
-    return persisted.reproducible ? basename_of(persisted.path) : "";
 }
 
 }  // namespace
@@ -181,6 +86,15 @@ KillRun kill_survivors(const KillContext& context,
     const tfm::Graph tfm_graph = context.spec->build_tfm();
     const tfm::Graph widened_graph =
         ProductSearch::specification_graph(*context.spec);
+    campaign::ReproducerOptions reproducer;
+    reproducer.spec = context.spec;
+    reproducer.registry = context.registry;
+    reproducer.completions = context.completions;
+    reproducer.runner = options.search.runner;
+    reproducer.oracle = options.search.oracle;
+    reproducer.corpus_dir = options.corpus_dir;
+    reproducer.max_shrink_steps = options.max_shrink_steps;
+    reproducer.obs = options.obs;
 
     // One survivor end-to-end (search -> shrink -> persist); internally
     // sequential and seed-deterministic, so item results are a pure
@@ -200,13 +114,14 @@ KillRun kill_survivors(const KillContext& context,
         item.reason = outcome.reason;
         item.model_only = outcome.model_only;
         item.candidate_calls = outcome.killer.calls.size();
-        item.shrink = shrink_killer(context, options,
-                                    outcome.widened ? widened_graph : tfm_graph,
-                                    mutant, outcome.killer, outcome.reason);
+        campaign::Reproducer killer = campaign::reproduce_killer(
+            reproducer, outcome.widened ? widened_graph : tfm_graph, mutant,
+            outcome.killer, outcome.reason,
+            campaign::derive_item_seed(options.seed, item.mutant_id,
+                                       "kill-corpus"));
+        item.shrink = std::move(killer.shrink);
         item.killer = item.shrink.minimized;
-        if (!options.corpus_dir.empty()) {
-            item.corpus_file = persist_killer(context, options, mutant, item);
-        }
+        item.corpus_file = basename_of(killer.path);
         return item;
     };
 

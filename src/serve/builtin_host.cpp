@@ -9,6 +9,7 @@
 #include "stc/model/model.h"
 #include "stc/sandbox/codec.h"
 #include "stc/support/error.h"
+#include "stc/support/strings.h"
 #include "stc/tfm/coverage.h"
 
 namespace stc::serve {
@@ -142,13 +143,66 @@ std::optional<BuiltinCampaignConfig> parse_hello(const obs::JsonObject& hello,
     return config;
 }
 
+const BuiltinTarget* resolve_builtin_target(const std::string& name,
+                                            std::string* error) {
+    const BuiltinTarget* target = find_builtin_target(name);
+    if (target == nullptr && error != nullptr) {
+        *error = "unknown component '" + name + "' (expected one of: " +
+                 support::join(builtin_target_names(), ", ") + ")";
+    }
+    return target;
+}
+
+const driver::ModelBinding* resolve_model(const std::string& class_name,
+                                          std::string* error) {
+    const driver::ModelBinding* binding = model::binding_for(class_name);
+    if (binding == nullptr && error != nullptr) {
+        *error = "no reference model for '" + class_name +
+                 "' (models exist for: " +
+                 support::join(model::modeled_classes(), " ") + ")";
+    }
+    return binding;
+}
+
+std::string CampaignInputs::fingerprint() const {
+    return campaign::campaign_fingerprint(options, suite, mutants, probe_suite());
+}
+
+std::optional<CampaignInputs> open_campaign_inputs(
+    const BuiltinCampaignConfig& config, std::string* error,
+    const obs::Context& obs) {
+    const BuiltinTarget* target = resolve_builtin_target(config.component, error);
+    if (target == nullptr) return std::nullopt;
+
+    std::optional<CampaignInputs> out(std::in_place);
+    CampaignInputs& in = *out;
+    in.holder = target->make_component();
+    const core::SelfTestableComponent& component = in.component();
+    in.options.seed = config.generator.seed;
+    in.options.prune = config.prune;
+    in.options.obs = obs;
+    if (config.model) {
+        // Lockstep differential oracle: the runner carries the model as
+        // a passive side channel (no promotion), so verdicts, reports
+        // and hit tracking are untouched and fates stay byte-identical
+        // across executors; only the oracle reads the divergence
+        // strings.
+        in.options.engine.runner.model =
+            resolve_model(component.spec().class_name, error);
+        if (in.options.engine.runner.model == nullptr) return std::nullopt;
+    }
+    in.suite = component.generate_tests(config.generator);
+    if (config.probe) {
+        in.probe = component.generate_tests(campaign::probe_generator(config.generator));
+    }
+    in.mutants = target->mutants();
+    return out;
+}
+
 struct BuiltinCampaign::Impl {
     BuiltinCampaignConfig config;
-    BuiltinComponent holder;
-    driver::TestSuite suite;
-    std::optional<driver::TestSuite> probe;
-    std::vector<mutation::Mutant> mutants;
-    std::optional<campaign::Session> session;  // over the members above
+    CampaignInputs inputs;
+    std::optional<campaign::Session> session;  // over `inputs`
 };
 
 BuiltinCampaign::BuiltinCampaign() : impl_(std::make_unique<Impl>()) {}
@@ -157,48 +211,14 @@ BuiltinCampaign::~BuiltinCampaign() = default;
 std::unique_ptr<BuiltinCampaign> BuiltinCampaign::open(
     const BuiltinCampaignConfig& config, std::string* error,
     const obs::Context& obs) {
-    const BuiltinTarget* target = find_builtin_target(config.component);
-    if (target == nullptr) {
-        if (error != nullptr) {
-            std::string known;
-            for (const auto& name : builtin_target_names()) {
-                known += known.empty() ? name : ", " + name;
-            }
-            *error = "unknown component '" + config.component +
-                     "' (expected one of: " + known + ")";
-        }
-        return nullptr;
-    }
-
+    std::optional<CampaignInputs> inputs = open_campaign_inputs(config, error, obs);
+    if (!inputs) return nullptr;
     std::unique_ptr<BuiltinCampaign> out(new BuiltinCampaign());
     Impl& s = *out->impl_;
     s.config = config;
-    s.holder = target->make_component();
-    auto& component = *s.holder.component;
-
-    s.suite = component.generate_tests(config.generator);
-    if (config.probe) {
-        s.probe = component.generate_tests(campaign::probe_generator(config.generator));
-    }
-    s.mutants = target->mutants();
-
-    campaign::CampaignOptions options;
-    options.seed = config.generator.seed;
-    options.prune = config.prune;
-    options.obs = obs;
-    if (config.model) {
-        const driver::ModelBinding* binding =
-            model::binding_for(s.suite.class_name);
-        if (binding == nullptr) {
-            if (error != nullptr) {
-                *error = "no reference model for '" + s.suite.class_name + "'";
-            }
-            return nullptr;
-        }
-        options.engine.runner.model = binding;
-    }
-    s.session.emplace(component.registry(), s.suite,
-                      s.probe ? &*s.probe : nullptr, s.mutants, options);
+    s.inputs = std::move(*inputs);
+    s.session.emplace(s.inputs.component().registry(), s.inputs.suite,
+                      s.inputs.probe_suite(), s.inputs.mutants, s.inputs.options);
     return out;
 }
 
@@ -206,10 +226,10 @@ const BuiltinCampaignConfig& BuiltinCampaign::config() const noexcept {
     return impl_->config;
 }
 const driver::TestSuite& BuiltinCampaign::suite() const noexcept {
-    return impl_->suite;
+    return impl_->inputs.suite;
 }
 const std::vector<mutation::Mutant>& BuiltinCampaign::mutants() const noexcept {
-    return impl_->mutants;
+    return impl_->inputs.mutants;
 }
 const std::string& BuiltinCampaign::fingerprint() const noexcept {
     return impl_->session->fingerprint();

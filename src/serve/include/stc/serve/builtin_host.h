@@ -67,6 +67,17 @@ void register_builtin_target(const std::string& name, BuiltinTarget target);
 /// Registered target names, sorted (for error messages and --help).
 [[nodiscard]] std::vector<std::string> builtin_target_names();
 
+/// find_builtin_target, or nullptr with `*error` naming the unknown
+/// component and listing the registered targets.
+[[nodiscard]] const BuiltinTarget* resolve_builtin_target(
+    const std::string& name, std::string* error);
+
+/// The lockstep reference model registered for `class_name`, or nullptr
+/// with `*error` listing the modeled classes: a --model request must not
+/// silently run model-less.
+[[nodiscard]] const driver::ModelBinding* resolve_model(
+    const std::string& class_name, std::string* error);
+
 /// The campaign inputs that travel in a Hello payload.
 struct BuiltinCampaignConfig {
     std::string component;  ///< a registered target name, e.g. "coblist"
@@ -78,6 +89,37 @@ struct BuiltinCampaignConfig {
     /// the handshake cross-check enforces it.
     bool prune = true;
 };
+
+/// Everything a campaign's identity is derived from, built from its
+/// config: the component, the suite and probe suite, the mutants, and
+/// the identity options (seed, prune, obs and the model binding).
+/// `concat campaign`, `concat kill` and every BuiltinCampaign (the
+/// `dispatch` coordinator, each `serve` daemon) derive their campaign
+/// here, so their fingerprints agree by construction.
+struct CampaignInputs {
+    BuiltinComponent holder;
+    driver::TestSuite suite;
+    std::optional<driver::TestSuite> probe;
+    std::vector<mutation::Mutant> mutants;
+    campaign::CampaignOptions options;
+
+    [[nodiscard]] const core::SelfTestableComponent& component() const {
+        return *holder.component;
+    }
+    [[nodiscard]] const driver::TestSuite* probe_suite() const {
+        return probe ? &*probe : nullptr;
+    }
+    /// campaign_fingerprint of these inputs — a Session's fingerprint,
+    /// without building one.
+    [[nodiscard]] std::string fingerprint() const;
+};
+
+/// Derive the campaign `config` describes; nullopt with `*error` set on
+/// an unknown component or a model request for a class without one.
+/// `obs` becomes the identity options' observability context.
+[[nodiscard]] std::optional<CampaignInputs> open_campaign_inputs(
+    const BuiltinCampaignConfig& config, std::string* error,
+    const obs::Context& obs = {});
 
 /// Render the Hello payload (docs/FORMATS.md §10).  `fingerprint` is
 /// the sender's own campaign fingerprint; the receiver re-derives and
@@ -91,10 +133,10 @@ struct BuiltinCampaignConfig {
 [[nodiscard]] std::optional<BuiltinCampaignConfig> parse_hello(
     const obs::JsonObject& hello, std::string* error);
 
-/// One fully reconstructed builtin campaign: the component, suite and
-/// mutant population, and the campaign::Session built over them
-/// (golden baselines, fingerprint, work list).  Both sides of a
-/// dispatch open one of these from the same config.
+/// One fully reconstructed builtin campaign: its CampaignInputs and the
+/// campaign::Session built over them (golden baselines, fingerprint,
+/// work list).  Both sides of a dispatch open one of these from the
+/// same config.
 class BuiltinCampaign {
 public:
     ~BuiltinCampaign();

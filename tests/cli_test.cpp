@@ -16,7 +16,10 @@
 #include "stc/driver/runner.h"
 #include "stc/driver/suite_io.h"
 #include "stc/fuzz/corpus.h"
+#include "stc/model/model.h"
+#include "stc/mutation/controller.h"
 #include "stc/obs/trace.h"
+#include "stc/serve/builtin_host.h"
 #include "test_paths.h"
 
 namespace {
@@ -549,32 +552,120 @@ TEST_F(CliTest, RunSubcommandExecutesAndFlagsDivergence) {
     EXPECT_EQ(run("run coblist --mutant No::Such@m"), 2);
 }
 
-TEST_F(CliTest, CampaignShrinkCorpusIsIdenticalAcrossJobCounts) {
-    const std::string dir1 = "/tmp/stc_cli_camp_corpus1";
-    const std::string dir4 = "/tmp/stc_cli_camp_corpus4";
-    std::system(("rm -rf " + dir1 + " " + dir4).c_str());
-    ASSERT_EQ(run("campaign coblist --jobs 1 --seed 3 --shrink-corpus " + dir1 +
-                      " -o /tmp/stc_cli_camp_rep1.txt",
-                  "/tmp/stc_cli_camp1.log"),
-              0);
-    ASSERT_EQ(run("campaign coblist --jobs 4 --seed 3 --shrink-corpus " + dir4 +
-                      " -o /tmp/stc_cli_camp_rep4.txt",
-                  "/tmp/stc_cli_camp4.log"),
-              0);
-    EXPECT_EQ(slurp("/tmp/stc_cli_camp_rep1.txt"),
-              slurp("/tmp/stc_cli_camp_rep4.txt"));
+/// Replays coblist corpus entries the way docs/FORMATS.md §9 says:
+/// recompleted from the entry's seed, under its recorded mutant, with
+/// the class's model attached and divergence promoted exactly when the
+/// entry records model-divergence.
+class CoblistReplay {
+public:
+    CoblistReplay()
+        : target_(*stc::serve::find_builtin_target("coblist")),
+          holder_(target_.make_component()),
+          mutants_(target_.mutants()) {}
 
-    const auto corpus1 = stc::fuzz::list_corpus(dir1);
-    const auto corpus4 = stc::fuzz::list_corpus(dir4);
-    ASSERT_EQ(corpus1.size(), corpus4.size());
-    ASSERT_FALSE(corpus1.empty());
-    for (std::size_t i = 0; i < corpus1.size(); ++i) {
-        EXPECT_EQ(slurp(corpus1[i]), slurp(corpus4[i]));
-        // Every persisted reproducer is a loadable, single-case entry.
-        const auto entry = stc::fuzz::load_entry_file(corpus1[i]);
-        EXPECT_EQ(entry.suite.size(), 1u);
-        EXPECT_FALSE(entry.mutant_id.empty());
+    stc::driver::Verdict verdict(stc::fuzz::CorpusEntry entry) const {
+        using namespace stc;
+        (void)driver::recomplete_suite(entry.suite, *holder_.completions,
+                                       entry.suite.seed);
+        driver::RunnerOptions options;
+        if (entry.verdict == driver::Verdict::ModelDivergence) {
+            options.model = model::binding_for(entry.suite.class_name);
+            options.promote_divergence = true;
+        }
+        const reflect::Registry& registry = holder_.component->registry();
+        const driver::TestRunner runner(registry, options);
+        for (const mutation::Mutant& m : mutants_) {
+            if (m.id() != entry.mutant_id) continue;
+            const mutation::MutantActivation active(m);
+            return runner
+                .run_case(registry.at(entry.suite.class_name), entry.reproducer())
+                .verdict;
+        }
+        ADD_FAILURE() << "unknown mutant " << entry.mutant_id;
+        return driver::Verdict::Pass;
     }
+
+private:
+    const stc::serve::BuiltinTarget& target_;
+    stc::serve::BuiltinComponent holder_;
+    std::vector<stc::mutation::Mutant> mutants_;
+};
+
+TEST_F(CliTest, CampaignShrinkCorpusIsIdenticalAcrossJobCounts) {
+    const CoblistReplay replay;
+    for (const std::string model : {"", " --model"}) {
+        SCOPED_TRACE("campaign coblist" + model);
+        const std::string base =
+            std::string("/tmp/stc_cli_camp") + (model.empty() ? "" : "_model");
+        std::system(("rm -rf " + base + "_corpus1 " + base + "_corpus4").c_str());
+        ASSERT_EQ(run("campaign coblist" + model + " --jobs 1 --seed 3 --shrink-corpus " +
+                          base + "_corpus1 -o " + base + "_rep1.txt",
+                      base + "_1.log"),
+                  0);
+        ASSERT_EQ(run("campaign coblist" + model + " --jobs 4 --seed 3 --shrink-corpus " +
+                          base + "_corpus4 -o " + base + "_rep4.txt",
+                      base + "_4.log"),
+                  0);
+        EXPECT_EQ(slurp(base + "_rep1.txt"), slurp(base + "_rep4.txt"));
+
+        const auto corpus1 = stc::fuzz::list_corpus(base + "_corpus1");
+        const auto corpus4 = stc::fuzz::list_corpus(base + "_corpus4");
+        ASSERT_EQ(corpus1.size(), corpus4.size());
+        ASSERT_FALSE(corpus1.empty());
+        std::size_t divergences = 0;
+        for (std::size_t i = 0; i < corpus1.size(); ++i) {
+            SCOPED_TRACE(corpus1[i]);
+            EXPECT_EQ(slurp(corpus1[i]), slurp(corpus4[i]));
+            // Every persisted reproducer is a loadable, single-case entry
+            // that fails under its mutant — a kill that passes there is
+            // not corpus-replayable — and replays to its recorded verdict.
+            const auto entry = stc::fuzz::load_entry_file(corpus1[i]);
+            EXPECT_EQ(entry.suite.size(), 1u);
+            EXPECT_FALSE(entry.mutant_id.empty());
+            EXPECT_NE(entry.verdict, stc::driver::Verdict::Pass);
+            EXPECT_EQ(replay.verdict(entry), entry.verdict);
+            divergences += entry.verdict == stc::driver::Verdict::ModelDivergence;
+        }
+        // The output-diff kills only the model can replay become
+        // model-divergence reproducers under --model.
+        if (model.empty()) {
+            EXPECT_EQ(divergences, 0u);
+        } else {
+            EXPECT_GT(divergences, 0u);
+        }
+    }
+}
+
+TEST_F(CliTest, ShrinkReplaysAModelDivergenceEntryWithItsModel) {
+    const std::string base = "/tmp/stc_cli_shrink_md";
+    for (const auto& [component, name] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"coblist", "CObList-model-divergence-0b1119783785e713"},
+             {"sortable", "CSortableObList-model-divergence-55516d5bd4c5aec0"}}) {
+        SCOPED_TRACE(name);
+        const std::string path = std::string(STC_SOURCE_DIR) + "/corpus/" + name + ".suite";
+        const auto recorded = stc::fuzz::load_entry_file(path);
+        ASSERT_EQ(recorded.verdict, stc::driver::Verdict::ModelDivergence);
+        ASSERT_EQ(run("shrink " + component + " --case " + path + " -o " + base +
+                          ".suite",
+                      base + ".log"),
+                  0)
+            << slurp(base + ".log");
+        const auto shrunk = stc::fuzz::load_entry_file(base + ".suite");
+        EXPECT_EQ(shrunk.verdict, stc::driver::Verdict::ModelDivergence);
+        EXPECT_EQ(shrunk.mutant_id, recorded.mutant_id);
+    }
+
+    // A model-divergence entry of a class without a model cannot replay:
+    // a usage error naming the modeled classes, not a verdict mismatch.
+    std::ofstream(base + "_wallet.suite")
+        << "concat-corpus 1\nverdict model-divergence\nconcat-suite 1\n"
+           "class Wallet\nseed 1\nmodel 0 0 0\ncase TC1|n1|0|0|\n";
+    EXPECT_EQ(run("shrink wallet --case " + base + "_wallet.suite", base + ".log"), 2);
+    EXPECT_NE(slurp(base + ".log").find("no reference model for 'Wallet' (models "
+                                        "exist for: CObList CSortableObList)"),
+              std::string::npos)
+        << slurp(base + ".log");
 }
 
 // ----------------------------------------------------------------- kill

@@ -165,6 +165,54 @@ TEST_F(FuzzTest, ShrinkerMinimizesUnderAnAlwaysTruePredicate) {
     EXPECT_EQ(case_bytes(result.minimized), case_bytes(again.minimized));
 }
 
+TEST_F(FuzzTest, ShrinkerAlternatesItsPassesToAFixpoint) {
+    // The failure needs two Inc calls unless the constructor's step is
+    // 1: ddmin can drop neither Inc until the value pass has pulled the
+    // step down, so a single ddmin-then-values pass stops short.
+    const Predicate two_incs_or_unit_step = [](const driver::TestCase& tc) {
+        std::size_t incs = 0;
+        bool unit_step = false;
+        for (const auto& call : tc.calls) {
+            if (call.method_name == "Inc") ++incs;
+            if (call.method_id == "m2" &&
+                call.arguments.at(0) == domain::Value::make_int(1)) {
+                unit_step = true;
+            }
+        }
+        return unit_step || incs >= 2;
+    };
+    driver::GeneratorOptions options;
+    options.seed = 9;
+    const auto suite = driver::DriverGenerator(spec_, options).generate();
+    driver::TestCase failing;
+    for (const auto& tc : suite.cases) {
+        if (tc.calls.front().method_id == "m2" && two_incs_or_unit_step(tc)) {
+            failing = tc;
+            break;
+        }
+    }
+    ASSERT_FALSE(failing.calls.empty()) << "no Counter(step) case with two Incs";
+    failing.calls.front().arguments.at(0) = domain::Value::make_int(5);
+    ASSERT_TRUE(two_incs_or_unit_step(failing));
+
+    const auto graph = spec_.build_tfm();
+    const ShrinkResult result =
+        shrink_case(spec_, graph, failing, two_incs_or_unit_step);
+    EXPECT_FALSE(result.budget_exhausted);
+    EXPECT_EQ(result.minimized.calls.front().arguments.at(0),
+              domain::Value::make_int(1));
+    for (const auto& call : result.minimized.calls) {
+        EXPECT_NE(call.method_name, "Inc") << case_bytes(result.minimized);
+    }
+
+    // The result is the fixpoint: shrinking it again changes nothing.
+    const ShrinkResult again =
+        shrink_case(spec_, graph, result.minimized, two_incs_or_unit_step);
+    EXPECT_EQ(case_bytes(again.minimized), case_bytes(result.minimized));
+    EXPECT_EQ(again.sequence_removals, 0u);
+    EXPECT_EQ(again.value_reductions, 0u);
+}
+
 TEST_F(FuzzTest, ShrinkBudgetIsHonoured) {
     driver::GeneratorOptions options;
     options.seed = 9;

@@ -31,17 +31,18 @@
 #include "test_component.h"
 
 // Real-fault tests deliberately segfault and exhaust address space in
-// forked children; sanitizer runtimes intercept both and turn them
-// into their own reports, so those tests skip under ASan.
-#if defined(__SANITIZE_ADDRESS__)
-#define STC_UNDER_ASAN 1
+// forked children; sanitizer runtimes intercept both: ASan turns them
+// into its own reports, and TSan's runtime cannot start a worker under
+// the address-space cap.  Those tests skip under either sanitizer.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define STC_UNDER_SANITIZER 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define STC_UNDER_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define STC_UNDER_SANITIZER 1
 #endif
 #endif
-#ifndef STC_UNDER_ASAN
-#define STC_UNDER_ASAN 0
+#ifndef STC_UNDER_SANITIZER
+#define STC_UNDER_SANITIZER 0
 #endif
 
 namespace stc::sandbox {
@@ -216,7 +217,7 @@ TEST(SandboxWorkerPool, SurvivesWorkerDeathsAndKeepsServing) {
 }
 
 TEST(SandboxWorkerPool, RealSegfaultAndAllocationBombAreContained) {
-    if (STC_UNDER_ASAN) {
+    if (STC_UNDER_SANITIZER) {
         GTEST_SKIP() << "real SIGSEGV / RLIMIT_AS conflict with sanitizers";
     }
     PoolOptions options;
@@ -492,7 +493,7 @@ protected:
 };
 
 TEST_F(HostileCampaignTest, RealFaultsKillOnlyTheirWorker) {
-    if (STC_UNDER_ASAN) {
+    if (STC_UNDER_SANITIZER) {
         GTEST_SKIP() << "real SIGSEGV / RLIMIT_AS conflict with sanitizers";
     }
     const HostileFaultsScope hostile;
@@ -510,7 +511,7 @@ TEST_F(HostileCampaignTest, RealFaultsKillOnlyTheirWorker) {
 }
 
 TEST_F(HostileCampaignTest, SurvivesOrchestratorSigkillAndResumes) {
-    if (STC_UNDER_ASAN) {
+    if (STC_UNDER_SANITIZER) {
         GTEST_SKIP() << "real SIGSEGV / RLIMIT_AS conflict with sanitizers";
     }
     const std::string store = "/tmp/stc_sandbox_resume_store.jsonl";

@@ -31,6 +31,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -52,7 +53,6 @@
 #include "stc/fuzz/shrink.h"
 #include "stc/history/version_diff.h"
 #include "stc/kill/kill.h"
-#include "stc/model/model.h"
 #include "stc/mutation/controller.h"
 #include "stc/mutation/report.h"
 #include "stc/obs/stats.h"
@@ -62,7 +62,6 @@
 #include "stc/serve/dispatch.h"
 #include "stc/serve/worker.h"
 #include "stc/support/error.h"
-#include "stc/support/strings.h"
 #include "stc/tfm/coverage.h"
 #include "stc/tspec/assembly.h"
 #include "stc/tspec/parser.h"
@@ -793,20 +792,6 @@ int cmd_gen(const Options& options, const tspec::ComponentSpec& spec) {
     return emit(options, generator.suite_source(suite));
 }
 
-/// Resolve --model for `class_name`: the registered lockstep binding,
-/// or nullopt (+ diagnostic listing the modeled classes) when none
-/// exists — a typo'd component must not silently run model-less.
-std::optional<const driver::ModelBinding*> resolve_model(
-    const std::string& command, const std::string& class_name) {
-    const driver::ModelBinding* binding = model::binding_for(class_name);
-    if (binding != nullptr) return binding;
-    std::cerr << "concat " << command << ": no reference model for '"
-              << class_name << "' (models exist for:";
-    for (const auto& name : model::modeled_classes()) std::cerr << " " << name;
-    std::cerr << ")\n";
-    return std::nullopt;
-}
-
 int cmd_replan(const Options& options, const tspec::ComponentSpec& old_spec) {
     if (!options.new_tspec_path || !options.frozen_suite_path) {
         std::cerr << "concat replan: --new and --frozen are required\n";
@@ -843,24 +828,71 @@ int cmd_replan(const Options& options, const tspec::ComponentSpec& old_spec) {
     return 0;
 }
 
-/// Assembly targets and --assembly must travel together: a campaign or
-/// dispatch over an assembly product states so explicitly, and a
-/// single-class target rejects the flag — the report headers look alike
-/// and a silent mixup would invalidate the interface-vs-assembly
-/// comparison.  Returns the exit code (0 = consistent).
-int check_assembly_flag(const std::string& command, const Options& options,
-                        const serve::BuiltinTarget& target) {
-    if (target.assembly && !options.assembly) {
-        std::cerr << "concat " << command << ": '" << options.tspec_path
-                  << "' is an assembly product; pass --assembly\n";
-        return 2;
+/// The registered target named on the command line, or nullptr after a
+/// usage message.  A campaign or dispatch over an assembly product says
+/// --assembly, and a single-class target rejects the flag: the report
+/// headers look alike and a silent mixup would invalidate the
+/// interface-vs-assembly comparison.  Commands that pair one class's
+/// TFM with its mutants (kill, fuzz, run, shrink) pass the
+/// `single_class` activity they perform, which an assembly target
+/// rejects.
+const serve::BuiltinTarget* command_target(const std::string& command,
+                                           const Options& options,
+                                           const char* single_class = nullptr) {
+    std::string error;
+    const serve::BuiltinTarget* target =
+        serve::resolve_builtin_target(options.tspec_path, &error);
+    if (target != nullptr && target->assembly && single_class != nullptr) {
+        error = "'" + options.tspec_path + "' is an assembly product; " +
+                single_class + " runs on single-class components only";
+    } else if (target != nullptr && target->assembly != options.assembly) {
+        error = "'" + options.tspec_path +
+                (target->assembly ? "' is an assembly product; pass --assembly"
+                                  : "' is a single-class component; drop --assembly");
+    } else if (target != nullptr) {
+        return target;
     }
-    if (!target.assembly && options.assembly) {
-        std::cerr << "concat " << command << ": '" << options.tspec_path
-                  << "' is a single-class component; drop --assembly\n";
-        return 2;
+    std::cerr << "concat " << command << ": " << error << "\n";
+    return nullptr;
+}
+
+/// The campaign the flags describe: the Hello fields of a dispatch,
+/// and the whole identity of a `concat campaign` or `concat kill` run.
+serve::BuiltinCampaignConfig campaign_config(const Options& options) {
+    serve::BuiltinCampaignConfig config;
+    config.component = options.tspec_path;
+    config.generator = options.generator;
+    config.probe = options.probe;
+    config.model = options.model;
+    config.prune = options.prune;
+    return config;
+}
+
+/// The campaign report, after the fast tier's pair counters on stderr:
+/// scheduling-dependent numbers stay out of the report, so it is
+/// byte-identical for any --jobs, --isolate or dispatch fleet.
+int emit_campaign_report(const Options& options, const driver::TestSuite& suite,
+                         const campaign::CampaignResult& result) {
+    if (result.stats.pruned) {
+        std::cerr << "prune stats: executed_pairs=" << result.stats.executed_pairs
+                  << " pruned_pairs=" << result.stats.pruned_pairs
+                  << " memoized_pairs=" << result.stats.memoized_pairs
+                  << " memoized_calls=" << result.stats.memoized_calls << "\n";
     }
-    return 0;
+    std::ostringstream report;
+    mutation::render_campaign_report(report, result.run, suite.class_name,
+                                     suite.size(), options.generator.seed);
+    return emit(options, report.str());
+}
+
+/// open_campaign_inputs over the flags, or nullopt after its message.
+std::optional<serve::CampaignInputs> open_inputs(const std::string& command,
+                                                 const Options& options) {
+    std::string error;
+    std::optional<serve::CampaignInputs> inputs =
+        serve::open_campaign_inputs(campaign_config(options), &error, options.obs);
+    if (!inputs) std::cerr << "concat " << command << ": " << error << "\n";
+    return inputs;
 }
 
 // `concat campaign <component>`: run an interface-mutation campaign
@@ -873,35 +905,12 @@ int check_assembly_flag(const std::string& command, const Options& options,
 // goes to the --telemetry-out JSONL stream, spans to --trace-out, and
 // timing stats to stderr.
 int cmd_campaign(const Options& options) {
-    const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target == nullptr) {
-        std::cerr << "concat campaign: unknown component '" << which
-                  << "' (expected one of: "
-                  << support::join(serve::builtin_target_names(), ", ")
-                  << ")\n";
-        return 2;
-    }
-    if (const int rc = check_assembly_flag("campaign", options, *target)) {
-        return rc;
-    }
+    if (command_target("campaign", options) == nullptr) return 2;
+    const auto inputs = open_inputs("campaign", options);
+    if (!inputs) return 2;
 
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-
-    const driver::TestSuite suite = component.generate_tests(options.generator);
-
-    std::optional<driver::TestSuite> probe;
-    if (options.probe) {
-        probe = component.generate_tests(campaign::probe_generator(options.generator));
-    }
-
-    const auto mutants = target->mutants();
-
-    campaign::CampaignOptions campaign_options;
+    campaign::CampaignOptions campaign_options = inputs->options;
     campaign_options.jobs = options.jobs;
-    campaign_options.seed = options.generator.seed;
-    campaign_options.obs = options.obs;
     if (options.store_path) campaign_options.store_path = *options.store_path;
     if (options.telemetry_path) {
         campaign_options.telemetry_path = *options.telemetry_path;
@@ -909,39 +918,21 @@ int cmd_campaign(const Options& options) {
     if (options.shrink_corpus) {
         campaign_options.shrink_corpus_dir = *options.shrink_corpus;
         campaign_options.max_shrink_steps = options.max_shrink_steps;
-        campaign_options.spec = &component.spec();
+        campaign_options.spec = &inputs->component().spec();
         // Null for targets without pointer-typed parameters (the shop
         // assembly): persist_entry then skips recompletion on replay.
-        campaign_options.completions = holder.completions;
+        campaign_options.completions = inputs->holder.completions;
     }
     if (options.isolate) {
         campaign_options.isolate = true;
         campaign_options.sandbox.timeout_ms = options.timeout_ms;
         campaign_options.sandbox.rlimit_as_mb = options.rlimit_as_mb;
     }
-    campaign_options.prune = options.prune;
-    if (options.model) {
-        // Lockstep differential oracle: the runner carries the model as
-        // a passive side channel (no promotion), so verdicts, reports
-        // and hit tracking are untouched and fates stay byte-identical
-        // across --jobs and --isolate; only the oracle reads the
-        // divergence strings.
-        const auto model_binding = resolve_model("campaign", suite.class_name);
-        if (!model_binding) return 2;
-        campaign_options.engine.runner.model = *model_binding;
-    }
 
-    const campaign::CampaignScheduler scheduler(component.registry(),
+    const campaign::CampaignScheduler scheduler(inputs->component().registry(),
                                                 campaign_options);
     const auto result =
-        scheduler.run(suite, mutants, probe ? &*probe : nullptr);
-
-    std::ostringstream report;
-    mutation::render_campaign_report(report, result.run, suite.class_name,
-                                     suite.size(), options.generator.seed);
-
-    // Scheduling-dependent numbers stay out of the report so that
-    // --jobs N leaves it byte-identical.
+        scheduler.run(inputs->suite, inputs->mutants, inputs->probe_suite());
     std::cerr << "campaign stats: campaign=" << result.fingerprint
               << " workers=" << result.stats.workers
               << " executed=" << result.stats.executed
@@ -950,40 +941,7 @@ int cmd_campaign(const Options& options) {
               << " respawns=" << result.stats.respawns
               << " shrunk=" << result.stats.shrunk
               << " wall_ms=" << result.stats.wall_ms << "\n";
-    if (result.stats.pruned) {
-        std::cerr << "prune stats: executed_pairs="
-                  << result.stats.executed_pairs
-                  << " pruned_pairs=" << result.stats.pruned_pairs
-                  << " memoized_pairs=" << result.stats.memoized_pairs
-                  << " memoized_calls=" << result.stats.memoized_calls << "\n";
-    }
-
-    return emit(options, report.str());
-}
-
-/// The single-class target named on the command line — the targets
-/// `concat kill`, `fuzz`, `run` and `shrink` accept — or nullptr after
-/// a usage message.  Each of them pairs one class's TFM with its
-/// mutants (and, for kill, its reference model); an assembly product
-/// has neither, so an assembly target is rejected naming `activity`.
-const serve::BuiltinTarget* single_class_target(const std::string& command,
-                                                const char* activity,
-                                                const std::string& which) {
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target == nullptr) {
-        std::cerr << "concat " << command << ": unknown component '" << which
-                  << "' (expected one of: "
-                  << support::join(serve::builtin_target_names(), ", ")
-                  << ")\n";
-        return nullptr;
-    }
-    if (target->assembly) {
-        std::cerr << "concat " << command << ": '" << which
-                  << "' is an assembly product; " << activity
-                  << " runs on single-class components only\n";
-        return nullptr;
-    }
-    return target;
+    return emit_campaign_report(options, inputs->suite, result);
 }
 
 // `concat kill <component> --alive --resume FILE`: synthesize killers
@@ -994,15 +952,7 @@ const serve::BuiltinTarget* single_class_target(const std::string& command,
 // stats` reflect the new score.  The report is a pure function of
 // (component, store, seed, budget): byte-identical across --jobs.
 int cmd_kill(const Options& options) {
-    const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target =
-        single_class_target("kill", "killer synthesis", which);
-    if (target == nullptr) return 2;
-    if (options.assembly) {
-        std::cerr << "concat kill: '" << which
-                  << "' is a single-class component; drop --assembly\n";
-        return 2;
-    }
+    if (command_target("kill", options, "killer synthesis") == nullptr) return 2;
     if (!options.alive) {
         std::cerr << "concat kill: pass --alive (the pass targets the "
                      "store's surviving mutants)\n";
@@ -1014,32 +964,13 @@ int cmd_kill(const Options& options) {
         return 2;
     }
 
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-
-    // Re-derive the campaign identity exactly as `concat campaign` did:
-    // same suite, same probe derivation, same oracle/runner/prune
-    // configuration — a mismatch means the store answers a different
+    // Re-derive the campaign identity through the opener `concat
+    // campaign` uses — a mismatch means the store answers a different
     // campaign's question and must not be "raised".
-    const driver::TestSuite suite = component.generate_tests(options.generator);
-    std::optional<driver::TestSuite> probe;
-    if (options.probe) {
-        probe = component.generate_tests(campaign::probe_generator(options.generator));
-    }
-    const auto mutants = target->mutants();
-
-    campaign::CampaignOptions campaign_options;
-    campaign_options.seed = options.generator.seed;
-    campaign_options.prune = options.prune;
-    const driver::ModelBinding* model_binding = nullptr;
-    if (options.model) {
-        const auto resolved = resolve_model("kill", suite.class_name);
-        if (!resolved) return 2;
-        model_binding = *resolved;
-        campaign_options.engine.runner.model = model_binding;
-    }
-    const std::string fingerprint = campaign::campaign_fingerprint(
-        campaign_options, suite, mutants, probe ? &*probe : nullptr);
+    const auto inputs = open_inputs("kill", options);
+    if (!inputs) return 2;
+    const std::string& class_name = inputs->suite.class_name;
+    const std::string fingerprint = inputs->fingerprint();
 
     std::string store_error;
     auto peek = campaign::peek_store(*options.store_path, &store_error);
@@ -1060,16 +991,16 @@ int cmd_kill(const Options& options) {
         if (record.fate == "alive") ++survivors;
     }
     if (survivors == 0) {
-        return emit(options, "kill: " + suite.class_name +
+        return emit(options, "kill: " + class_name +
                                  ": nothing to kill (no surviving mutants in " +
                                  *options.store_path + ")\n");
     }
 
     kill::KillContext context;
-    context.spec = &component.spec();
-    context.registry = &component.registry();
-    context.completions = holder.completions;
-    context.mutants = &mutants;
+    context.spec = &inputs->component().spec();
+    context.registry = &inputs->component().registry();
+    context.completions = inputs->holder.completions;
+    context.mutants = &inputs->mutants;
 
     kill::KillOptions kill_options;
     kill_options.seed = options.generator.seed;
@@ -1081,7 +1012,7 @@ int cmd_kill(const Options& options) {
     kill_options.search.budget_states = options.budget_states;
     kill_options.search.max_depth = options.max_depth;
     kill_options.search.runner.obs = options.obs;
-    kill_options.search.runner.model = model_binding;
+    kill_options.search.runner.model = inputs->options.engine.runner.model;
     kill_options.search.obs = options.obs;
     if (options.telemetry_path) {
         kill_options.telemetry = campaign::TelemetrySink::to_file(
@@ -1093,7 +1024,7 @@ int cmd_kill(const Options& options) {
     campaign::rewrite_store(*options.store_path, fingerprint, peek->records);
 
     std::ostringstream report;
-    kill::render_kill_report(report, run, suite.class_name, kill_options);
+    kill::render_kill_report(report, run, class_name, kill_options);
 
     // Search-effort numbers go to stderr like campaign timing stats:
     // they are deterministic, but they are diagnostics, not results.
@@ -1110,18 +1041,78 @@ int cmd_kill(const Options& options) {
     return emit(options, report.str());
 }
 
-/// Resolve --mutant against the enumerated mutants of `class_name`.
-/// Returns nullptr when id is empty; exits via nullopt on unknown ids so
-/// a typo cannot silently fuzz the pristine component.
-std::optional<const mutation::Mutant*> resolve_mutant(
-    const std::string& command, const std::vector<mutation::Mutant>& mutants,
-    const std::string& id) {
-    if (id.empty()) return nullptr;
-    for (const auto& m : mutants) {
-        if (m.id() == id) return &m;
+/// One single-class component and the runner `concat fuzz`, `run` and
+/// `shrink` execute its cases with, optionally under one mutant.  Built
+/// in place (the runner holds the component's registry by reference).
+struct SingleClass {
+    serve::BuiltinComponent holder;
+    std::vector<mutation::Mutant> mutants;
+    const mutation::Mutant* mutant = nullptr;  ///< active per run; null = none
+    std::optional<driver::TestRunner> runner;
+    const reflect::ClassBinding* binding = nullptr;
+
+    [[nodiscard]] const core::SelfTestableComponent& component() const {
+        return *holder.component;
     }
-    std::cerr << "concat " << command << ": unknown mutant '" << id << "'\n";
-    return std::nullopt;
+    [[nodiscard]] const std::string& class_name() const {
+        return component().spec().class_name;
+    }
+    [[nodiscard]] driver::TestResult run_case(const driver::TestCase& tc) const {
+        std::optional<mutation::MutantActivation> active;
+        if (mutant != nullptr) active.emplace(*mutant);
+        return runner->run_case(*binding, tc);
+    }
+    [[nodiscard]] driver::SuiteResult run(const driver::TestSuite& suite) const {
+        std::optional<mutation::MutantActivation> active;
+        if (mutant != nullptr) active.emplace(*mutant);
+        return runner->run(suite);
+    }
+};
+
+/// Build the named single-class component, select `mutant_id` ("" =
+/// none) among its mutants — an unknown id is an error, so a typo
+/// cannot silently run the pristine component — and build the runner.
+/// With `model`, the runner carries the class's reference model and
+/// promotes divergence on an otherwise-passing case to a
+/// model-divergence verdict: verdicts are the signal of all three
+/// commands.  nullptr after a usage message (exit 2).
+std::unique_ptr<SingleClass> open_single_class(const std::string& command,
+                                               const char* activity,
+                                               const Options& options,
+                                               const std::string& mutant_id,
+                                               bool model) {
+    const serve::BuiltinTarget* target = command_target(command, options, activity);
+    if (target == nullptr) return nullptr;
+    auto out = std::make_unique<SingleClass>();
+    out->holder = target->make_component();
+    out->mutants = target->mutants();
+    if (!mutant_id.empty()) {
+        for (const auto& m : out->mutants) {
+            if (m.id() != mutant_id) continue;
+            out->mutant = &m;
+            break;
+        }
+        if (out->mutant == nullptr) {
+            std::cerr << "concat " << command << ": unknown mutant '"
+                      << mutant_id << "'\n";
+            return nullptr;
+        }
+    }
+    driver::RunnerOptions runner_options;
+    runner_options.obs = options.obs;
+    if (model) {
+        std::string error;
+        runner_options.model = serve::resolve_model(out->class_name(), &error);
+        if (runner_options.model == nullptr) {
+            std::cerr << "concat " << command << ": " << error << "\n";
+            return nullptr;
+        }
+        runner_options.promote_divergence = true;
+    }
+    const reflect::Registry& registry = out->component().registry();
+    out->runner.emplace(registry, runner_options);
+    out->binding = &registry.at(out->class_name());
+    return out;
 }
 
 // `concat fuzz <component>`: coverage-guided fuzzing of a registered
@@ -1132,43 +1123,17 @@ std::optional<const mutation::Mutant*> resolve_mutant(
 // printed without their directory so two same-seed runs into different
 // corpus directories still byte-match (the CI seed-stability gate).
 int cmd_fuzz(const Options& options) {
-    const serve::BuiltinTarget* target =
-        single_class_target("fuzz", "fuzzing", options.tspec_path);
-    if (target == nullptr) return 2;
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-    const driver::CompletionRegistry* completions = holder.completions;
-    const std::string& class_name = component.spec().class_name;
-
-    const auto mutants = target->mutants();
-    const auto mutant =
-        resolve_mutant("fuzz", mutants, options.mutant_id.value_or(""));
-    if (!mutant) return 2;
-
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    if (options.model) {
-        // Fuzzing wants divergence as a first-class signal: promotion
-        // turns a clean-run divergence into Verdict::ModelDivergence, so
-        // the coverage map treats it as a novel verdict kind, findings
-        // dedupe by (model-divergence, method), and the shrinker
-        // minimizes while preserving the divergence.
-        const auto model_binding = resolve_model("fuzz", class_name);
-        if (!model_binding) return 2;
-        runner_options.model = *model_binding;
-        runner_options.promote_divergence = true;
-    }
-    const driver::TestRunner runner(component.registry(), runner_options);
-    const reflect::ClassBinding& binding = component.registry().at(class_name);
-
-    const auto run_in_process =
-        [&](const driver::TestCase& tc) -> driver::TestResult {
-        if (*mutant) {
-            const mutation::MutantActivation active(**mutant);
-            return runner.run_case(binding, tc);
-        }
-        return runner.run_case(binding, tc);
-    };
+    // Fuzzing wants divergence as a first-class signal: promotion turns
+    // a clean-run divergence into Verdict::ModelDivergence, so the
+    // coverage map treats it as a novel verdict kind, findings dedupe by
+    // (model-divergence, method), and the shrinker minimizes while
+    // preserving the divergence.
+    const auto harness = open_single_class(
+        "fuzz", "fuzzing", options, options.mutant_id.value_or(""), options.model);
+    if (!harness) return 2;
+    const core::SelfTestableComponent& component = harness->component();
+    const driver::CompletionRegistry* completions = harness->holder.completions;
+    const std::string& class_name = harness->class_name();
 
     // --isolate: replay each case on a one-worker sandbox pool that
     // lives for the whole run (its worker forks at the first case and
@@ -1187,7 +1152,7 @@ int cmd_fuzz(const Options& options) {
                 driver::recomplete_suite(one, *completions, one.seed);
             }
             if (one.cases.empty()) throw Error("sandbox: empty case payload");
-            return sandbox::encode_result(run_in_process(one.cases.front()));
+            return sandbox::encode_result(harness->run_case(one.cases.front()));
         };
         sandbox::PoolOptions pool_options;
         pool_options.limits.timeout_ms = options.timeout_ms;
@@ -1197,7 +1162,7 @@ int cmd_fuzz(const Options& options) {
 
     const fuzz::CaseRunner case_runner =
         [&](const driver::TestCase& tc) -> driver::TestResult {
-        if (!isolated) return run_in_process(tc);
+        if (!isolated) return harness->run_case(tc);
         driver::TestSuite one;
         one.class_name = class_name;
         one.seed = options.generator.seed;
@@ -1328,7 +1293,7 @@ int cmd_fuzz(const Options& options) {
     std::ostringstream report;
     report << "fuzz: " << class_name << ", seed " << fuzz_options.seed << ", "
            << options.iters << " iteration(s)";
-    if (*mutant) report << ", mutant " << (*mutant)->id();
+    if (harness->mutant) report << ", mutant " << harness->mutant->id();
     report << "\n" << result.stats.render();
     if (finding_lines.empty()) {
         report << "no findings\n";
@@ -1350,41 +1315,18 @@ int cmd_fuzz(const Options& options) {
 // passed, so `concat run <c> --model` doubles as a conformance gate and
 // `concat run <c> --mutant M --model` as a single-mutant demonstrator.
 int cmd_run(const Options& options) {
-    const serve::BuiltinTarget* target =
-        single_class_target("run", "a suite run", options.tspec_path);
-    if (target == nullptr) return 2;
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-    const std::string& class_name = component.spec().class_name;
-
-    const auto mutants = target->mutants();
-    const auto mutant =
-        resolve_mutant("run", mutants, options.mutant_id.value_or(""));
-    if (!mutant) return 2;
-
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    if (options.model) {
-        const auto model_binding = resolve_model("run", class_name);
-        if (!model_binding) return 2;
-        runner_options.model = *model_binding;
-        runner_options.promote_divergence = true;
-    }
-    const driver::TestRunner runner(component.registry(), runner_options);
-
-    const driver::TestSuite suite = component.generate_tests(options.generator);
-    driver::SuiteResult result;
-    if (*mutant) {
-        const mutation::MutantActivation active(**mutant);
-        result = runner.run(suite);
-    } else {
-        result = runner.run(suite);
-    }
+    const auto harness = open_single_class(
+        "run", "a suite run", options, options.mutant_id.value_or(""), options.model);
+    if (!harness) return 2;
+    const std::string& class_name = harness->class_name();
+    const driver::TestSuite suite =
+        harness->component().generate_tests(options.generator);
+    const driver::SuiteResult result = harness->run(suite);
 
     std::ostringstream report;
     report << "run: " << class_name << ", " << suite.size() << " case(s), seed "
            << options.generator.seed;
-    if (*mutant) report << ", mutant " << (*mutant)->id();
+    if (harness->mutant) report << ", mutant " << harness->mutant->id();
     if (options.model) report << ", model oracle";
     report << "\n";
 
@@ -1421,44 +1363,30 @@ int cmd_shrink(const Options& options) {
         std::cerr << "concat shrink: --case is required\n";
         return 2;
     }
-    const serve::BuiltinTarget* target =
-        single_class_target("shrink", "shrinking", options.tspec_path);
-    if (target == nullptr) return 2;
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-    const driver::CompletionRegistry* completions = holder.completions;
-    const std::string& class_name = component.spec().class_name;
-
     fuzz::CorpusEntry entry = fuzz::load_entry_file(*options.case_path);
+    // The corpus replay rule (docs/FORMATS.md §9): a model-divergence
+    // entry replays with its class's model attached and divergence
+    // promoted, any other entry with neither.  --mutant overrides the
+    // recorded mutant (e.g. replaying a component fault under a
+    // candidate fix's mutant id).
+    const auto harness = open_single_class(
+        "shrink", "shrinking", options, options.mutant_id.value_or(entry.mutant_id),
+        entry.verdict == driver::Verdict::ModelDivergence);
+    if (!harness) return 2;
+    const core::SelfTestableComponent& component = harness->component();
+    const driver::CompletionRegistry* completions = harness->holder.completions;
+    const std::string& class_name = harness->class_name();
     if (entry.suite.class_name != class_name) {
         std::cerr << "concat shrink: entry is for class '"
                   << entry.suite.class_name << "', component is '" << class_name
                   << "'\n";
         return 2;
     }
-
-    // --mutant overrides the recorded mutant (e.g. replaying a component
-    // fault under a candidate fix's mutant id).
-    const std::string mutant_id = options.mutant_id.value_or(entry.mutant_id);
-    const auto mutants = target->mutants();
-    const auto mutant = resolve_mutant("shrink", mutants, mutant_id);
-    if (!mutant) return 2;
-
     if (completions != nullptr) {
         driver::recomplete_suite(entry.suite, *completions, entry.suite.seed);
     }
-
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    const driver::TestRunner runner(component.registry(), runner_options);
-    const reflect::ClassBinding& binding = component.registry().at(class_name);
-    const fuzz::CaseRunner case_runner =
-        [&](const driver::TestCase& tc) -> driver::TestResult {
-        if (*mutant) {
-            const mutation::MutantActivation active(**mutant);
-            return runner.run_case(binding, tc);
-        }
-        return runner.run_case(binding, tc);
+    const fuzz::CaseRunner case_runner = [&](const driver::TestCase& tc) {
+        return harness->run_case(tc);
     };
 
     const driver::TestResult observed = case_runner(entry.reproducer());
@@ -1613,21 +1541,8 @@ int cmd_dispatch(const Options& options) {
         std::cerr << "concat dispatch: --workers is required\n";
         return 2;
     }
-    // Unknown names fall through to open(), whose error lists the
-    // registered targets.
-    if (const serve::BuiltinTarget* target =
-            serve::find_builtin_target(options.tspec_path)) {
-        if (const int rc = check_assembly_flag("dispatch", options, *target)) {
-            return rc;
-        }
-    }
-    serve::BuiltinCampaignConfig config;
-    config.component = options.tspec_path;
-    config.generator = options.generator;
-    config.probe = options.probe;
-    config.model = options.model;
-    config.prune = options.prune;
-
+    if (command_target("dispatch", options) == nullptr) return 2;
+    const serve::BuiltinCampaignConfig config = campaign_config(options);
     std::string error;
     const auto host = serve::BuiltinCampaign::open(config, &error, options.obs);
     if (!host) {
@@ -1692,13 +1607,6 @@ int cmd_dispatch(const Options& options) {
         std::move(dispatch_options), options.store_path.value_or(""), &stats);
     if (options.progress) render_progress();  // the closing snapshot
 
-    const driver::TestSuite& suite = host->suite();
-    std::ostringstream report;
-    mutation::render_campaign_report(report, result.run, suite.class_name,
-                                     suite.size(), options.generator.seed);
-
-    // Scheduling-dependent numbers stay on stderr, exactly like
-    // `concat campaign`, so the report byte-matches the local run.
     std::cerr << "dispatch stats: campaign=" << fingerprint
               << " workers=" << stats.workers_connected << "/" << stats.workers
               << " executed=" << stats.executed
@@ -1707,15 +1615,7 @@ int cmd_dispatch(const Options& options) {
               << " stolen=" << stats.stolen
               << " disconnects=" << stats.disconnects
               << " wall_ms=" << stats.wall_ms << "\n";
-    if (result.stats.pruned) {
-        std::cerr << "prune stats: executed_pairs="
-                  << result.stats.executed_pairs
-                  << " pruned_pairs=" << result.stats.pruned_pairs
-                  << " memoized_pairs=" << result.stats.memoized_pairs
-                  << " memoized_calls=" << result.stats.memoized_calls << "\n";
-    }
-
-    return emit(options, report.str());
+    return emit_campaign_report(options, host->suite(), result);
 }
 
 /// Write the --trace-out / --metrics-out artifacts collected during the
